@@ -1,12 +1,13 @@
 # Tier-1 verification and developer loops. `make verify` is the full
 # pre-merge gate: build + tests (shuffled, so order-dependent tests cannot
 # hide), static vetting, fedsu-lint, the race detector over every package,
-# and a short fuzz smoke over the wire codecs.
+# a short fuzz smoke over the wire codecs, and the vet + tests of the
+# nested e2ebench module.
 
 GO ?= go
 FUZZTIME ?= 10s
 
-.PHONY: tier1 vet lint race fuzz verify bench bench-agg bench-grid \
+.PHONY: tier1 vet lint race fuzz e2e-check verify bench bench-agg bench-grid \
 	bench-tree bench-codec tier1-f32 race-f32 verify-f32
 
 tier1:
@@ -64,7 +65,13 @@ fuzz:
 	$(GO) test -fuzz '^FuzzEntropyStage$$' -fuzztime=$(FUZZTIME) -run '^$$' ./internal/sparse/codec/
 	$(GO) test -fuzz '^FuzzChainRoundTrip$$' -fuzztime=$(FUZZTIME) -run '^$$' ./internal/sparse/codec/
 
-verify: tier1 vet lint race fuzz
+# The end-to-end benchmark is a nested module (fedsu/e2ebench) outside
+# `./...`, so the targets above never build it; this vets and tests it
+# against the current tree.
+e2e-check:
+	cd e2ebench && $(GO) vet . && $(GO) test .
+
+verify: tier1 vet lint race fuzz e2e-check
 
 # Kernel and layer microbenchmarks (see BENCH_kernels.json for the tracked
 # before/after numbers).

@@ -13,7 +13,7 @@
 // silently loses cancellation — which is exactly the class of regression a
 // human reviewer misses.
 //
-// Implementations of the interface methods themselves (fl.Server,
+// Implementations of the interface methods themselves (fl.Tree,
 // flrpc.Client) are declarations, not calls, and are not flagged. A
 // deliberate direct call can be suppressed with
 // `//lint:allow ctxdispatch -- <reason>`.

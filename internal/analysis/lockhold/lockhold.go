@@ -2,7 +2,7 @@
 // sync.Mutex or sync.RWMutex is held, inside the concurrency-critical
 // packages internal/fl, internal/flrpc, internal/exp, and internal/par.
 // It machine-checks the PR 4 aggregation contract — contributions are
-// staged under fl.Server.mu but folded OUTSIDE it (and outside the op fold
+// staged under fl.Tree.mu but folded OUTSIDE it (and outside the node fold
 // lock wherever possible), so a slow fold can never serialize unrelated
 // collectives — and the transport rule that RPC I/O never runs under a
 // client or coordinator mutex.

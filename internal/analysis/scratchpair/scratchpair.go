@@ -23,7 +23,7 @@
 //   - returning the resource to the caller
 //   - storing it into a struct field, map, slice element, or composite
 //     literal (e.g. the Conv2D im2col cache retained for Backward, or the
-//     fl.Server stray-contribution map drained at barrier completion)
+//     fl fold-node stray-contribution map drained at barrier completion)
 //
 // Passing a resource to an ordinary function is a use, not a transfer: the
 // callee is expected to borrow, not keep.

@@ -44,7 +44,7 @@ func branchLocalDefer(abstain bool, n int) int {
 }
 
 // transferToMap hands ownership to a map that outlives the call — the
-// fl.Server stray-contribution pattern, drained at barrier completion.
+// fl fold-node stray-contribution pattern, drained at barrier completion.
 func (c *coordinator) transferToMap(clientID int, values []float64) {
 	buf := sparse.GetVec(len(values))
 	copy(*buf, values)

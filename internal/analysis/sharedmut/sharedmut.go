@@ -2,9 +2,9 @@
 // aggregation results handed out by the server are shared, immutable
 // snapshots. The async accumulator's apply() publishes a freshly allocated
 // global and then hands the SAME slice to every caller that asks for that
-// version — fl.Server.AsyncGlobal, the AggregateModel/AggregateError
-// entry points (whose op.result is likewise one slice delivered to every
-// barrier participant), and the sparse dispatch helpers (AggModel,
+// version — fl.AsyncAggregator.AsyncGlobal, the AggregateModel/AggregateError
+// entry points (whose collective result is likewise one slice delivered to
+// every barrier participant), and the sparse dispatch helpers (AggModel,
 // AggError, SyncContext) that forward them. A caller that writes through
 // such a slice corrupts the model under every other client simultaneously
 // — silently, because each client's own view stays self-consistent.
@@ -177,7 +177,7 @@ func check(pass *analysis.Pass, body *ast.BlockStmt) {
 }
 
 // mentionsSourceCall reports whether the body contains a direct source
-// call at all (covers `fl.Server.AsyncGlobal()[0] = v` style writes with
+// call at all (covers `a.AsyncGlobal()[0] = v` style writes with
 // no variable to taint).
 func mentionsSourceCall(pass *analysis.Pass, body *ast.BlockStmt) bool {
 	found := false

@@ -12,52 +12,52 @@ import (
 
 // --- positive cases ---
 
-func badElementWrite(s *fl.Server) {
+func badElementWrite(s *fl.AsyncAggregator) {
 	g := s.AsyncGlobal()
 	g[0] = 1 // want `write through "g", a shared aggregation result`
 }
 
-func badCompoundWrite(s *fl.Server) {
+func badCompoundWrite(s *fl.AsyncAggregator) {
 	g := s.AsyncGlobal()
 	g[3] += 0.5 // want `write through "g", a shared aggregation result`
 }
 
-func badIncDec(s *fl.Server) {
+func badIncDec(s *fl.AsyncAggregator) {
 	g := s.AsyncGlobal()
 	g[1]++ // want `write through "g", a shared aggregation result`
 }
 
 // Aliases stay shared: an identifier copy ...
-func badAliasWrite(s *fl.Server) {
+func badAliasWrite(s *fl.AsyncAggregator) {
 	g := s.AsyncGlobal()
 	h := g
 	h[0] = 1 // want `write through "h", a shared aggregation result`
 }
 
 // ... and a subslice share the backing array.
-func badSubsliceWrite(s *fl.Server) {
+func badSubsliceWrite(s *fl.AsyncAggregator) {
 	g := s.AsyncGlobal()
 	tail := g[1:]
 	tail[0] = 1 // want `write through "tail", a shared aggregation result`
 }
 
-func badCopyInto(s *fl.Server, src []float64) {
+func badCopyInto(s *fl.AsyncAggregator, src []float64) {
 	g := s.AsyncGlobal()
 	copy(g, src) // want `copy into "g", a shared aggregation result`
 }
 
-func badAppend(s *fl.Server) []float64 {
+func badAppend(s *fl.AsyncAggregator) []float64 {
 	g := s.AsyncGlobal()
 	return append(g, 1) // want `append to "g", a shared aggregation result`
 }
 
 // Direct write through the call result, no variable involved.
-func badDirectWrite(s *fl.Server) {
+func badDirectWrite(s *fl.AsyncAggregator) {
 	s.AsyncGlobal()[0] = 1 // want `write through the aggregation result`
 }
 
 // The aggregate entry points hand out the same shared slice.
-func badAggregateWrite(s *fl.Server, vec []float64) error {
+func badAggregateWrite(s *fl.AsyncAggregator, vec []float64) error {
 	res, err := s.AggregateModel(0, 1, vec)
 	if err != nil {
 		return err
@@ -74,7 +74,7 @@ func badSyncContextWrite(ctx context.Context, vec []float64) {
 }
 
 // A closure-captured alias is still an alias.
-func badClosureWrite(s *fl.Server) func() {
+func badClosureWrite(s *fl.AsyncAggregator) func() {
 	g := s.AsyncGlobal()
 	return func() {
 		g[0] = 1 // want `write through "g", a shared aggregation result`
@@ -84,7 +84,7 @@ func badClosureWrite(s *fl.Server) func() {
 // --- negative cases ---
 
 // Reading is fine.
-func okRead(s *fl.Server) float64 {
+func okRead(s *fl.AsyncAggregator) float64 {
 	g := s.AsyncGlobal()
 	total := 0.0
 	for _, v := range g {
@@ -94,7 +94,7 @@ func okRead(s *fl.Server) float64 {
 }
 
 // Copying OUT of the shared slice is fine.
-func okCopyOut(s *fl.Server) []float64 {
+func okCopyOut(s *fl.AsyncAggregator) []float64 {
 	g := s.AsyncGlobal()
 	own := make([]float64, len(g))
 	copy(own, g)
@@ -103,7 +103,7 @@ func okCopyOut(s *fl.Server) []float64 {
 }
 
 // The canonical private copy: append from a nil base.
-func okFreshAppend(s *fl.Server) []float64 {
+func okFreshAppend(s *fl.AsyncAggregator) []float64 {
 	g := s.AsyncGlobal()
 	own := append([]float64(nil), g...)
 	own[0] = 1
@@ -125,7 +125,7 @@ func okTrafficUse(ctx context.Context, vec []float64) int {
 }
 
 // Sanctioned exception, annotated with a reason.
-func okAnnotatedWrite(s *fl.Server) {
+func okAnnotatedWrite(s *fl.AsyncAggregator) {
 	g := s.AsyncGlobal()
 	g[0] = 1 //lint:allow sharedmut -- corpus replica of a single-owner test fixture that never shares the snapshot
 }

@@ -4,17 +4,17 @@ package fl
 
 import "context"
 
-type Server struct {
+type AsyncAggregator struct {
 	global []float64
 }
 
-func (s *Server) AsyncGlobal() []float64 { return s.global }
+func (s *AsyncAggregator) AsyncGlobal() []float64 { return s.global }
 
-func (s *Server) AggregateModel(clientID, round int, values []float64) ([]float64, error) {
+func (s *AsyncAggregator) AggregateModel(clientID, round int, values []float64) ([]float64, error) {
 	return s.global, nil
 }
 
-func (s *Server) AggregateModelCtx(ctx context.Context, clientID, round int, values []float64) ([]float64, error) {
+func (s *AsyncAggregator) AggregateModelCtx(ctx context.Context, clientID, round int, values []float64) ([]float64, error) {
 	return s.global, nil
 }
 

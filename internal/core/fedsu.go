@@ -204,7 +204,7 @@ type Manager struct {
 	// performs no allocation. scratchOut backs the vector returned to the
 	// caller — see the ownership note on Sync. scratchSend/scratchErrSend
 	// back the collective submissions; the aggregator only reads them for
-	// the duration of the call (the fl.Server contract), so reusing them
+	// the duration of the call (the fl.Tree contract), so reusing them
 	// the following round is safe.
 	scratchRegular  []int
 	scratchChecking []int

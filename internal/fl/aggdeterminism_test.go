@@ -114,10 +114,10 @@ func contributionFor(id, size int) []float64 {
 }
 
 // submitInOrder forces an exact arrival order: each client's submission is
-// launched only after the previous one has fully registered (its subs
-// increment is visible under the server lock). Returns the per-client
-// results once the barrier releases.
-func submitInOrder(t *testing.T, s *Server, round int, order []int, vecs map[int][]float64) (map[int][]float64, map[int]error) {
+// launched only after the previous one has fully registered (staged, with
+// its leaf's subs increment visible under the tree lock). Returns the
+// per-client results once the barrier releases.
+func submitInOrder(t *testing.T, s *Tree, round int, order []int, vecs map[int][]float64) (map[int][]float64, map[int]error) {
 	t.Helper()
 	results := make(map[int][]float64, len(order))
 	errs := make(map[int]error, len(order))
@@ -138,15 +138,19 @@ func submitInOrder(t *testing.T, s *Server, round int, order []int, vecs map[int
 	return results, errs
 }
 
-// waitSubs polls until the collective has registered want submissions.
-func waitSubs(t *testing.T, s *Server, round int, kind string, want int) {
+// waitSubs polls until the collective's leaves have registered want
+// submissions.
+func waitSubs(t *testing.T, s *Tree, round int, kind string, want int) {
 	t.Helper()
 	deadline := time.Now().Add(5 * time.Second)
 	for {
 		s.mu.Lock()
 		subs := -1
-		if o := s.ops[opKey{round: round, kind: kind}]; o != nil {
-			subs = o.subs
+		if c := s.cols[opKey{round: round, kind: kind}]; c != nil {
+			subs = 0
+			for _, leaf := range c.tiers[0] {
+				subs += leaf.subs
+			}
 		}
 		s.mu.Unlock()
 		if subs >= want {
@@ -302,8 +306,8 @@ func TestAggregateEvictionMidStreamBits(t *testing.T) {
 }
 
 // TestAggregateStrayContribution: a participant outside the barrier's
-// roster snapshot still counts, interleaved at its id position — the
-// refold path. Client 5 (stray, lowest... highest id) and roster client 0
+// roster snapshot still counts on a one-leaf collective, interleaved at
+// its id position — the refold path. Client 5 (stray, lowest... highest id) and roster client 0
 // fill the need of a {0,1} roster; client 1 arrives after the close and
 // receives the already-computed result.
 func TestAggregateStrayContribution(t *testing.T) {

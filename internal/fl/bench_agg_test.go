@@ -19,7 +19,7 @@ import (
 // benchFleet drives one collective per Signal() call from persistent
 // submitter goroutines.
 type benchFleet struct {
-	srv     *Server
+	srv     *Tree
 	vecs    [][]float64
 	ids     []int
 	start   []chan int

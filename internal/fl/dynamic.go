@@ -91,10 +91,8 @@ func newShardRNG(seed int64) *rand.Rand { return rand.New(rand.NewSource(seed)) 
 
 // resize rebuilds the size-dependent machinery after a membership change.
 func (e *Engine) resize() error {
-	n := len(e.clients)
-	e.server.SetNumClients(n)
 	cfg := e.cfg.Netem
-	cfg.NumClients = n
+	cfg.NumClients = len(e.clients)
 	cluster, err := netem.NewCluster(cfg)
 	if err != nil {
 		return fmt.Errorf("fl: resize: %w", err)

@@ -59,7 +59,7 @@ type Config struct {
 	// cannot die) keeps blocking barriers.
 	CollectiveDeadline time.Duration
 	// Async switches the run to buffered-async rounds (Async.K >= 1):
-	// clients become independent arrival processes and the server applies
+	// clients become independent arrival processes and the aggregator applies
 	// a staleness-weighted global every K contributions. The zero value
 	// keeps synchronous barrier rounds. Async mode requires a full-vector
 	// strategy (fedavg, cmfl, qsgd); subset-submitting strategies (fedsu,
@@ -89,11 +89,11 @@ type Config struct {
 	// defaults to NumClients, any other value must equal NumClients (one
 	// slot per sampled member).
 	Cohort int
-	// Fanout >= 2 aggregates population-mode rounds through a hierarchical
-	// fl.Tree instead of the flat server: leaves fold cohort blocks and
-	// forward one partial upward, so root work is O(fanout) rather than
-	// O(cohort). The global is bit-identical to the flat fold at any
-	// fanout. Zero keeps the flat collective.
+	// Fanout >= 2 aggregates population-mode rounds through a multi-tier
+	// tree: leaves fold cohort blocks and forward one partial upward, so
+	// root work is O(fanout) rather than O(cohort). The global is
+	// bit-identical to the flat fold at any fanout. Zero keeps the flat
+	// (one-leaf) collective.
 	Fanout int
 	// PopNetem configures the population-scale timing model; the zero
 	// value means netem.DefaultPopulationConfig(Population, fanout).
@@ -173,8 +173,8 @@ type RoundStats struct {
 	// Tiers is the aggregation-tree depth used this round (1 for the flat
 	// collective; zero outside population mode).
 	Tiers int
-	// LeafFolds and ForwardedPartials count this round's leaf fold batches
-	// and upward partial messages (tree collective only).
+	// LeafFolds counts this round's leaf fold batches below the root (zero
+	// for the flat collective, whose single leaf is its root).
 	LeafFolds int
 	// ForwardedPartials counts partial-sum messages sent up the tree this
 	// round.
@@ -190,19 +190,22 @@ type RoundStats struct {
 
 // Engine drives an emulated federated run.
 type Engine struct {
-	cfg      Config
-	clients  []*Client
-	server   *Server
+	cfg     Config
+	clients []*Client
+	// coll is the barrier collective of synchronous rounds (one leaf, or a
+	// tree at cfg.Fanout); async is the buffered-async aggregator, non-nil
+	// only when cfg.Async is set.
+	coll     *Tree
+	async    *AsyncAggregator
 	cluster  *netem.Cluster
 	compute  netem.ComputeModel
 	strategy string
 
 	// Population mode (cfg.Population > 0): the device registry, the
-	// population-scale timing model, the optional tree collective, and one
-	// slot proxy per client rebinding its collective identity each round.
+	// population-scale timing model, and one slot proxy per client
+	// rebinding its collective identity each round.
 	pop      *Population
 	popModel *netem.PopulationModel
-	tree     *Tree
 	proxies  []*slotProxy
 
 	// chain is the parsed Compress spec (nil for the default wire); it is
@@ -284,12 +287,13 @@ func NewEngineWithShards(cfg Config, builder nn.Builder, ds *data.Dataset, shard
 			chain = nil // the explicit default spec is the legacy wire
 		}
 	}
-	server := NewServer(cfg.NumClients)
+	coll := NewTree(cfg.Fanout)
 	if cfg.CollectiveDeadline > 0 {
-		server.SetDeadline(cfg.CollectiveDeadline)
+		coll.SetDeadline(cfg.CollectiveDeadline)
 	}
+	var async *AsyncAggregator
 	if cfg.Async.Enabled() {
-		if err := server.SetAsync(cfg.Async); err != nil {
+		if async, err = NewAsync(cfg.Async); err != nil {
 			return nil, err
 		}
 	}
@@ -304,7 +308,8 @@ func NewEngineWithShards(cfg Config, builder nn.Builder, ds *data.Dataset, shard
 
 	e := &Engine{
 		cfg:       cfg,
-		server:    server,
+		coll:      coll,
+		async:     async,
 		cluster:   cluster,
 		compute:   cfg.Compute,
 		evalModel: probe,
@@ -430,7 +435,7 @@ func (e *Engine) RunRound(ctx context.Context, evaluate bool) (RoundStats, error
 	}
 	outcome := e.cluster.Round(loads)
 	// outcome.Participants are positional cluster slots; translate to the
-	// stable client ids the server keys on (they differ once clients have
+	// stable client ids the collective keys on (they differ once clients have
 	// joined or left).
 	isParticipant := make([]bool, len(e.clients))
 	participantIDs := make([]int, 0, len(outcome.Participants))
@@ -445,9 +450,9 @@ func (e *Engine) RunRound(ctx context.Context, evaluate bool) (RoundStats, error
 	for i, c := range e.clients {
 		roster[i] = c.ID
 	}
-	e.server.SetRoster(roster)
-	e.server.BeginRound(k, participantIDs)
-	evictionsBefore, timeoutsBefore := e.server.EvictionCount(), e.server.TimeoutCount()
+	e.coll.SetRoster(roster)
+	e.coll.BeginRound(k, participantIDs)
+	evictionsBefore, timeoutsBefore := e.coll.EvictionCount(), e.coll.TimeoutCount()
 
 	// Concurrent local training + synchronization.
 	type result struct {
@@ -463,7 +468,7 @@ func (e *Engine) RunRound(ctx context.Context, evaluate bool) (RoundStats, error
 	// process-global so an experiment grid running several engines
 	// concurrently (internal/exp's scheduler) still trains at most
 	// par.Workers() clients at once. The token is released BEFORE
-	// SyncRound — the server's collectives barrier until every client
+	// SyncRound — the collectives barrier until every client
 	// submits, so holding a compute token across the barrier would deadlock
 	// whenever clients outnumber tokens.
 	results := make([]result, len(e.clients))
@@ -510,8 +515,8 @@ func (e *Engine) RunRound(ctx context.Context, evaluate bool) (RoundStats, error
 	stats.Duration = outcome.Duration
 	e.simTime += outcome.Duration
 	stats.SimTime = e.simTime
-	stats.Evicted = e.server.EvictionCount() - evictionsBefore
-	stats.Timeouts = e.server.TimeoutCount() - timeoutsBefore
+	stats.Evicted = e.coll.EvictionCount() - evictionsBefore
+	stats.Timeouts = e.coll.TimeoutCount() - timeoutsBefore
 
 	if err := ctx.Err(); err != nil {
 		// Cancelled after every client already synchronized: the round is

@@ -12,7 +12,7 @@ import (
 // runAsync is the buffered-async round driver: a discrete-event loop over
 // per-client arrival processes (netem.AsyncProcess) replacing the
 // synchronous quorum barrier. Each client cycles independently — pull the
-// global, train locally, upload — and the server (in SetAsync mode) folds
+// global, train locally, upload — and the AsyncAggregator folds
 // arrivals as they land, applying a new staleness-weighted global every
 // Async.K contributions. `applies` counts global applications, the async
 // analogue of rounds; one RoundStats is emitted per apply, aggregating the
@@ -47,7 +47,7 @@ func (e *Engine) runAsync(ctx context.Context, applies, evalEvery int) ([]RoundS
 	// Local training runs ahead of the event loop: each client's cycle-k
 	// training is launched when its cycle starts and harvested when its
 	// arrival is processed. The par token pool bounds concurrent SGD
-	// exactly as in the sync driver; synchronization (the server fold) is
+	// exactly as in the sync driver; synchronization (the async fold) is
 	// NOT concurrent — the event loop serializes it in arrival order,
 	// which is what the determinism contract requires.
 	futures := make([]chan float64, n)
@@ -77,9 +77,9 @@ func (e *Engine) runAsync(ctx context.Context, applies, evalEvery int) ([]RoundS
 	}
 
 	var out []RoundStats
-	lastVer := e.server.AsyncVersion()
+	lastVer := e.async.AsyncVersion()
 	targetVer := lastVer + applies
-	lastDrops := e.server.StaleDropCount()
+	lastDrops := e.async.StaleDropCount()
 	lastApplyT := e.simTime
 
 	// Per-apply window accumulators: everything that arrived since the
@@ -93,7 +93,7 @@ func (e *Engine) runAsync(ctx context.Context, applies, evalEvery int) ([]RoundS
 	// generous headroom over the applies*K contributions actually needed.
 	maxEvents := (applies*e.cfg.Async.K + n) * 64
 
-	for events := 0; e.server.AsyncVersion() < targetVer; events++ {
+	for events := 0; e.async.AsyncVersion() < targetVer; events++ {
 		if err := ctx.Err(); err != nil {
 			drain()
 			return out, err
@@ -134,8 +134,8 @@ func (e *Engine) runAsync(ctx context.Context, applies, evalEvery int) ([]RoundS
 		}
 		cycle[i]++
 
-		if ver := e.server.AsyncVersion(); ver > lastVer {
-			drops := e.server.StaleDropCount()
+		if ver := e.async.AsyncVersion(); ver > lastVer {
+			drops := e.async.StaleDropCount()
 			st := RoundStats{
 				Round:        ver - 1,
 				Duration:     now - lastApplyT,
@@ -149,7 +149,7 @@ func (e *Engine) runAsync(ctx context.Context, applies, evalEvery int) ([]RoundS
 				st.SparsificationRatio = winRatio / float64(winSyncs)
 			}
 			if ver%evalEvery == 0 || ver == targetVer {
-				st.Accuracy, st.Loss = e.evaluateVector(e.server.AsyncGlobal())
+				st.Accuracy, st.Loss = e.evaluateVector(e.async.AsyncGlobal())
 			} else {
 				st.Accuracy, st.Loss = -1, -1
 			}
@@ -167,11 +167,12 @@ func (e *Engine) runAsync(ctx context.Context, applies, evalEvery int) ([]RoundS
 	return out, nil
 }
 
-// AsyncGlobal returns the server's current async global model (nil before
-// the first application, or in synchronous mode). The slice is immutable
-// by the apply contract.
-func (e *Engine) AsyncGlobal() []float64 { return e.server.AsyncGlobal() }
-
-// Server exposes the engine's aggregation server (read-mostly accessors:
-// eviction counters, async version).
-func (e *Engine) Server() *Server { return e.server }
+// AsyncGlobal returns the current async global model (nil before the
+// first application, or in synchronous mode). The slice is immutable by
+// the apply contract.
+func (e *Engine) AsyncGlobal() []float64 {
+	if e.async == nil {
+		return nil
+	}
+	return e.async.AsyncGlobal()
+}

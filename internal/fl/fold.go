@@ -2,6 +2,7 @@ package fl
 
 import (
 	"fmt"
+	"sort"
 	"sync"
 	"sync/atomic"
 
@@ -9,13 +10,13 @@ import (
 	"fedsu/internal/sparse"
 )
 
-// This file holds the reusable streaming fold-node extracted from the
-// fl.Server op machinery: the component that accepts contributions for an
-// ordered roster of positions, folds them incrementally as the resolution
-// frontier advances, and produces the collective sum. fl.Server composes
-// one fold node per collective; the hierarchical aggregation tree
-// (tree.go) composes one per tier node, which is what makes a multi-tier
-// run bit-identical to the flat server.
+// This file holds the streaming fold node: the component that accepts
+// contributions for an ordered roster of positions, folds them
+// incrementally as the resolution frontier advances, and produces the
+// collective sum. The barrier collective (tree.go) composes one fold node
+// per tier node — a single node for a one-leaf (flat) collective — which
+// is what makes a multi-tier run bit-identical to the flat one. Every
+// collective builds fresh nodes; none is reused across collectives.
 //
 // # Canonical pairwise fold order
 //
@@ -58,6 +59,25 @@ import (
 // first — the contribution is copied and any level slot aliasing the
 // caller's slice is repointed at the copy (see detach).
 
+// Per-position submission status, published with atomic stores so the fold
+// path can read it without the collective mutex.
+const (
+	posPending uint32 = iota // not yet resolved
+	posStaged                // contribution copied and staged
+	posSkip                  // resolved without contributing (abstain, non-participant, evicted)
+)
+
+// foldGrain aligns parallel fold chunks; any value works for bit-identity
+// (the per-element addition order never depends on chunking), this one just
+// amortizes dispatch.
+const foldGrain = 1024
+
+// drainMinBatch keeps opportunistic mid-barrier drains from paying a fold
+// pass per contribution: a drain that would fold fewer staged buffers than
+// this leaves them for a later, larger batch (the completion drain takes
+// everything).
+const drainMinBatch = 4
+
 // foldPlan op kinds: elementwise ops executed chunk-sequentially by the
 // plan kernel. add2 is dst += src; add3 is dst = a + b (dst disjoint or
 // equal to a previously freed buffer); copyOp is dst = a.
@@ -87,10 +107,9 @@ type levelSlot struct {
 // state is guarded by mu (the per-collective fold lock); the status array
 // is the atomic publish point between stagers and the drain path.
 type foldNode struct {
-	// Immutable after arm(): the roster in ascending id order and the
-	// id → rank index.
+	// The roster in ascending id order (a rank's id is order[rank]);
+	// immutable and possibly shared with the owning collective.
 	order []int
-	pos   map[int]int
 
 	// status[p] is written by stagers and evictions (atomic release) and
 	// read by the fold path (atomic acquire); staged[p] is published by
@@ -118,8 +137,8 @@ type foldNode struct {
 	rank   int
 	levels []levelSlot
 
-	// Fold plan scratch plus persistent kernels (created once per node so
-	// steady-state folds allocate nothing but level buffers, which are
+	// Fold plan scratch plus the node's parallel kernels (created once per
+	// node, so folds allocate nothing but level buffers, which are
 	// pooled). spare recycles level buffers freed by merges within the
 	// collective.
 	plan     []foldOp
@@ -137,9 +156,25 @@ type strayEntry struct {
 	weight int
 }
 
-// newFoldNode constructs a node with its persistent parallel kernels.
-func newFoldNode() *foldNode {
-	f := &foldNode{pos: map[int]int{}, sumLen: -1}
+// newFoldNode builds a node over order, an ascending id list the node
+// shares and never mutates. weighted enables per-position contributor
+// weights (tree tiers above the leaves stage child partials, each
+// weighing its child's contributor count).
+func newFoldNode(order []int, weighted bool) *foldNode {
+	n := len(order)
+	f := &foldNode{
+		order:    order,
+		status:   make([]atomic.Uint32, n),
+		staged:   make([][]float64, n),
+		ownedPtr: make([]*[]float64, n),
+		sumLen:   -1,
+	}
+	if weighted {
+		f.weights = make([]int, n)
+		for i := range f.weights {
+			f.weights[i] = 1
+		}
+	}
 	f.planFn = func(lo, hi int) {
 		for _, op := range f.plan {
 			dst := op.dst[lo:hi]
@@ -170,104 +205,18 @@ func newFoldNode() *foldNode {
 	return f
 }
 
-// arm resets the node for a new collective over the given pending set.
-// order/pos/status/staged storage is recycled across collectives.
-func (f *foldNode) arm(pending map[int]bool) {
-	f.order = f.order[:0]
-	for id := range pending {
-		f.order = append(f.order, id)
-	}
-	sortInts(f.order)
-	for p, id := range f.order {
-		f.pos[id] = p
-	}
-	n := len(f.order)
-	if cap(f.status) >= n {
-		f.status = f.status[:n]
-		f.staged = f.staged[:n]
-		f.ownedPtr = f.ownedPtr[:n]
-	} else {
-		f.status = make([]atomic.Uint32, n)
-		f.staged = make([][]float64, n)
-		f.ownedPtr = make([]*[]float64, n)
-	}
-	for i := range f.status {
-		f.status[i].Store(posPending)
-		f.staged[i] = nil
-		f.ownedPtr[i] = nil
-	}
-	f.weights = nil
-}
-
-// armRanks is arm for a roster that is already the dense rank sequence
-// 0..n-1 (tree tiers), with optional per-rank weights enabled.
-func (f *foldNode) armRanks(n int, weighted bool) {
-	f.order = f.order[:0]
-	for id := 0; id < n; id++ {
-		f.order = append(f.order, id)
-		f.pos[id] = id
-	}
-	if cap(f.status) >= n {
-		f.status = f.status[:n]
-		f.staged = f.staged[:n]
-		f.ownedPtr = f.ownedPtr[:n]
-	} else {
-		f.status = make([]atomic.Uint32, n)
-		f.staged = make([][]float64, n)
-		f.ownedPtr = make([]*[]float64, n)
-	}
-	for i := range f.status {
-		f.status[i].Store(posPending)
-		f.staged[i] = nil
-		f.ownedPtr[i] = nil
-	}
-	if weighted {
-		if cap(f.weights) >= n {
-			f.weights = f.weights[:n]
-		} else {
-			f.weights = make([]int, n)
-		}
-		for i := range f.weights {
-			f.weights[i] = 1
-		}
-	} else {
-		f.weights = nil
-	}
-}
-
-// reset clears per-collective fold state (called from arm sites and
-// recycling). Caller must ensure no waiter still references the node.
-func (f *foldNode) reset() {
-	clear(f.pos)
-	f.frontier, f.folded, f.rank = 0, 0, 0
-	f.sumLen = -1
-	f.lenFail = nil
-	f.result = nil
-	for i := range f.levels {
-		f.levels[i] = levelSlot{alias: -1}
-	}
-	f.levels = f.levels[:0]
-	for _, p := range f.spare {
-		sparse.PutVec(p)
-	}
-	f.spare = f.spare[:0]
-	f.plan = f.plan[:0]
-	for p := range f.staged {
-		sparse.PutVec(f.ownedPtr[p])
-		f.ownedPtr[p] = nil
-		f.staged[p] = nil
-	}
-	for id, s := range f.strays {
-		sparse.PutVec(s.buf)
-		delete(f.strays, id)
-	}
+// rankIn returns id's position in the ascending id list ids, and whether
+// it is there.
+func rankIn(ids []int, id int) (int, bool) {
+	p := sort.SearchInts(ids, id)
+	return p, p < len(ids) && ids[p] == id
 }
 
 // stage publishes a contribution (or a skip) at the given id and
 // opportunistically drains. Returns the caller's detach position (-1 when
 // nothing was reference-staged) and whether the id was in the roster.
 func (f *foldNode) stage(id int, values []float64, contributing bool) (detach int, inRoster bool) {
-	p, ok := f.pos[id]
+	p, ok := rankIn(f.order, id)
 	if !ok {
 		return -1, false
 	}
@@ -283,7 +232,7 @@ func (f *foldNode) stage(id int, values []float64, contributing bool) (detach in
 }
 
 // stageWeighted stages a tree-tier partial: the contribution counts
-// weight toward the mean divisor. Caller must have armed with weights.
+// weight toward the mean divisor. The node must have been built weighted.
 func (f *foldNode) stageWeighted(rank int, values []float64, weight int) int {
 	if values == nil || weight <= 0 {
 		f.status[rank].Store(posSkip)
@@ -531,8 +480,8 @@ func (f *foldNode) finalizeLocked() ([]float64, int) {
 }
 
 // scaleResultLocked scales the finalized sum in place by 1/weight with
-// one parallel pass — the mean both the flat server and the tree root
-// publish. Caller holds mu.
+// one parallel pass — the mean the collective's root publishes. Caller
+// holds mu.
 func (f *foldNode) scaleResultLocked(weight int) {
 	if f.result == nil || weight <= 0 {
 		return
@@ -547,8 +496,8 @@ func (f *foldNode) scaleResultLocked(weight int) {
 // restoring the canonical rank order over the combined contributor list
 // when stray ids would otherwise have interleaved below the already-
 // consumed frontier. With strays present the rank structure is the dense
-// index over the combined ascending contributors (a server-only path; the
-// tree forbids strays). Caller holds mu.
+// index over the combined ascending contributors (a one-leaf path: a
+// multi-leaf tree rejects strays). Caller holds mu.
 func (f *foldNode) refoldLocked() {
 	// Drop counter state; owned buffers become spares for the replay.
 	for i := range f.levels {
@@ -665,7 +614,7 @@ func (f *foldNode) detach(p int) {
 // skip resolves an id's position without a contribution (eviction path).
 // Safe to call from bookkeeping code; the next drain consumes the rank.
 func (f *foldNode) skip(id int) {
-	if p, ok := f.pos[id]; ok {
+	if p, ok := rankIn(f.order, id); ok {
 		f.status[p].Store(posSkip)
 	}
 }

@@ -8,8 +8,7 @@ import (
 )
 
 // Regression tests for eviction-state carry-over across sessions: the
-// interaction of Server.evicted with SetNumClients, SetRoster, and
-// Readmit. The historical Readmit injected the readmitted id straight into
+// interaction of the collective's evicted set with SetRoster and Readmit. The historical Readmit injected the readmitted id straight into
 // the ACTIVE roster, so a client evicted in one session and re-registered
 // under a smaller roster in the next became a barrier member the caller's
 // roster never listed — every barrier then waited forever on a submission
@@ -17,7 +16,7 @@ import (
 
 // runBarrier submits for every id in ids concurrently and returns the
 // per-id errors once the barrier releases.
-func runBarrier(t *testing.T, s *Server, round int, ids []int) map[int]error {
+func runBarrier(t *testing.T, s *Tree, round int, ids []int) map[int]error {
 	t.Helper()
 	var wg sync.WaitGroup
 	var mu sync.Mutex
@@ -112,8 +111,9 @@ func TestReadmittedClientRejoinsViaRoster(t *testing.T) {
 }
 
 // TestEvictedExcludedFromImpliedRoster: with no explicit roster, the
-// implied {0..n-1} must also skip evicted ids — and keep skipping them
-// across BeginRound until Readmit.
+// {0..n-1} roster NewServer declares must also drop evicted ids — and keep
+// them out across BeginRound, and after Readmit, until a SetRoster lists
+// them again.
 func TestEvictedExcludedFromImpliedRoster(t *testing.T) {
 	s := NewServer(3)
 	s.SetDeadline(30 * time.Millisecond)
@@ -134,9 +134,10 @@ func TestEvictedExcludedFromImpliedRoster(t *testing.T) {
 			}
 		}
 	}
-	// Readmit restores the id to the implied roster immediately (nothing
-	// else re-declares membership on the implied path).
+	// Readmit alone does not edit the roster; the next SetRoster that lists
+	// the id restores it.
 	s.Readmit(2)
+	s.SetRoster([]int{0, 1, 2})
 	s.BeginRound(3, []int{0, 1, 2})
 	for id, err := range runBarrier(t, s, 3, []int{0, 1, 2}) {
 		if err != nil {
@@ -172,11 +173,10 @@ func TestSetRosterFiltersEvicted(t *testing.T) {
 	}
 }
 
-// TestSetNumClientsShrinkAfterEviction: shrinking the session below an
-// evicted id's number must not wedge the implied roster — the evicted id
-// falls outside {0..n-1} and the smaller cohort proceeds; growing again
-// keeps the id evicted until Readmit.
-func TestSetNumClientsShrinkAfterEviction(t *testing.T) {
+// TestSetRosterShrinkAfterEviction: shrinking the roster below an evicted
+// id must not wedge the session — the smaller cohort proceeds; growing the
+// roster back over the id keeps it evicted until Readmit.
+func TestSetRosterShrinkAfterEviction(t *testing.T) {
 	s := NewServer(4)
 	s.SetDeadline(30 * time.Millisecond)
 	s.BeginRound(0, []int{0, 1, 2, 3})
@@ -186,16 +186,16 @@ func TestSetNumClientsShrinkAfterEviction(t *testing.T) {
 		}
 	}
 	s.SetDeadline(0)
-	s.SetNumClients(2)
+	s.SetRoster([]int{0, 1})
 	s.BeginRound(1, []int{0, 1})
 	for id, err := range runBarrier(t, s, 1, []int{0, 1}) {
 		if err != nil {
 			t.Fatalf("round 1 client %d: %v", id, err)
 		}
 	}
-	// Grow back past the evicted id: still evicted, implied roster is
+	// Grow back past the evicted id: still evicted, the roster is
 	// {0, 1, 2} — the barrier must not wait for 3 and must reject it.
-	s.SetNumClients(4)
+	s.SetRoster([]int{0, 1, 2, 3})
 	s.BeginRound(2, []int{0, 1, 2})
 	for id, err := range runBarrier(t, s, 2, []int{0, 1, 2}) {
 		if err != nil {

@@ -165,8 +165,8 @@ func TestIdempotentResubmission(t *testing.T) {
 		for {
 			s.mu.Lock()
 			var landed bool
-			if o := s.ops[opKey{round: 0, kind: "model"}]; o != nil {
-				landed = o.submitted[0]
+			if c := s.cols[opKey{round: 0, kind: "model"}]; c != nil {
+				landed = c.submit[0]
 			}
 			s.mu.Unlock()
 			if landed {

@@ -8,22 +8,17 @@ import (
 )
 
 // These tests pin the deadline-timer lifecycle: a timer firing for a
-// barrier that has since completed — and whose op shell may already have
-// been recycled into a NEW collective, even at the same (round, kind) key —
-// must be a strict no-op. The op generation counter (op.gen) is what makes
-// the stale firing detectable; before it, a recycled shell at the same key
-// passed the identity check and the stale timer could evict clients from a
-// barrier it was never armed for.
+// collective that has since completed — or been dropped by BeginRound and
+// replaced by a NEW collective at the same (round, kind) key, which a
+// checkpoint replay produces — must be a strict no-op. Collectives are
+// never recycled, so the timer's collective pointer alone identifies the
+// barrier it was armed for.
 
-// opState snapshots the op pointer and generation under the server lock.
-func opState(s *Server, round int, kind string) (*op, uint64) {
+// colAt returns the live collective at (round, kind) under the tree lock.
+func colAt(s *Tree, round int, kind string) *treeCol {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	o := s.ops[opKey{round: round, kind: kind}]
-	if o == nil {
-		return nil, 0
-	}
-	return o, o.gen
+	return s.cols[opKey{round: round, kind: kind}]
 }
 
 // TestExpireAfterCompleteIsNoOp: firing the deadline on a finished barrier
@@ -39,11 +34,11 @@ func TestExpireAfterCompleteIsNoOp(t *testing.T) {
 			t.Fatalf("client %d: %v", id, err)
 		}
 	}
-	o, gen := opState(s, 0, "model")
-	if o == nil {
-		t.Fatal("completed op already gone before BeginRound")
+	c := colAt(s, 0, "model")
+	if c == nil {
+		t.Fatal("completed collective already gone before BeginRound")
 	}
-	s.expire(opKey{round: 0, kind: "model"}, o, gen)
+	s.expire(c)
 	if n := s.TimeoutCount(); n != 0 {
 		t.Fatalf("stale expiry on a finished barrier counted a timeout (%d)", n)
 	}
@@ -52,10 +47,10 @@ func TestExpireAfterCompleteIsNoOp(t *testing.T) {
 	}
 }
 
-// TestStaleExpireOnRecycledShellIsNoOp: the armed op shell is recycled into
-// a new collective at the SAME key; the old timer firing with the old
-// generation must not touch the new barrier.
-func TestStaleExpireOnRecycledShellIsNoOp(t *testing.T) {
+// TestStaleExpireOnReplacedCollectiveIsNoOp: a second BeginRound(0) drops
+// the armed collective and the next submission builds a new one at the
+// SAME key; the old timer firing must not touch the new barrier.
+func TestStaleExpireOnReplacedCollectiveIsNoOp(t *testing.T) {
 	s := NewServer(2)
 	s.SetDeadline(time.Hour)
 	s.BeginRound(0, []int{0, 1})
@@ -66,11 +61,10 @@ func TestStaleExpireOnRecycledShellIsNoOp(t *testing.T) {
 			t.Fatalf("round 0 client %d: %v", id, err)
 		}
 	}
-	oldOp, oldGen := opState(s, 0, "model")
+	old := colAt(s, 0, "model")
 
-	// Recycle: the round-0 shell goes to the free list and is reused for
-	// the round-0 collective of the "replayed" session (same key — the
-	// checkpoint-restore scenario).
+	// Replay round 0 (the checkpoint-restore scenario): same key, new
+	// collective.
 	s.BeginRound(0, []int{0, 1})
 	done := make(chan error, 1)
 	go func() {
@@ -78,17 +72,12 @@ func TestStaleExpireOnRecycledShellIsNoOp(t *testing.T) {
 		done <- err
 	}()
 	waitSubs(t, s, 0, "model", 1)
-
-	newOp, newGen := opState(s, 0, "model")
-	if newOp != oldOp {
-		t.Skip("free list did not reuse the shell; generation scenario not exercised")
-	}
-	if newGen == oldGen {
-		t.Fatal("recycled shell kept its generation; stale timers are indistinguishable")
+	if cur := colAt(s, 0, "model"); cur == old {
+		t.Fatal("BeginRound kept the old collective at the replayed key")
 	}
 
-	// The old timer fires now: same key, same pointer, old generation.
-	s.expire(opKey{round: 0, kind: "model"}, oldOp, oldGen)
+	// The old timer fires now, naming the dropped collective.
+	s.expire(old)
 	if n := s.EvictionCount(); n != 0 {
 		t.Fatalf("stale timer evicted %d clients from the new barrier", n)
 	}
@@ -107,9 +96,9 @@ func TestStaleExpireOnRecycledShellIsNoOp(t *testing.T) {
 	}
 }
 
-// TestExpireWithCurrentGenerationEvicts: the guard must not block a
-// legitimate expiry — correct pointer and generation still evict the
-// missing client and close the barrier over the survivors.
+// TestExpireWithCurrentGenerationEvicts: the staleness guard must not
+// block a legitimate expiry — the live collective's own timer still evicts
+// the missing client and closes the barrier over the survivors.
 func TestExpireWithCurrentGenerationEvicts(t *testing.T) {
 	s := NewServer(2)
 	s.SetDeadline(time.Hour)
@@ -120,8 +109,7 @@ func TestExpireWithCurrentGenerationEvicts(t *testing.T) {
 		done <- err
 	}()
 	waitSubs(t, s, 0, "model", 1)
-	o, gen := opState(s, 0, "model")
-	s.expire(opKey{round: 0, kind: "model"}, o, gen)
+	s.expire(colAt(s, 0, "model"))
 	if err := <-done; err != nil {
 		t.Fatalf("survivor errored after legitimate expiry: %v", err)
 	}

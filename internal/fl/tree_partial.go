@@ -71,17 +71,16 @@ func (t *Tree) AggregatePartialCtx(ctx context.Context, round int, kind string, 
 		t.mu.Unlock()
 		return nil, fmt.Errorf("fl: partial submitted before SetRoster")
 	}
-	if rankLo < 0 || rankLo >= n || rankLo%t.fanout != 0 {
-		t.mu.Unlock()
-		return nil, fmt.Errorf("fl: partial rank %d is not an aligned leaf block of a %d-member roster (fanout %d)", rankLo, n, t.fanout)
-	}
-	key := opKey{round: round, kind: kind}
-	c := t.colLocked(key)
+	c := t.colLocked(opKey{round: round, kind: kind})
 	if len(c.tiers) < 2 {
 		t.mu.Unlock()
-		return nil, fmt.Errorf("fl: roster of %d fits a single tier at fanout %d; submit members directly", n, t.fanout)
+		return nil, fmt.Errorf("fl: roster of %d fits a single leaf (fanout %d); submit members directly", n, t.fanout)
 	}
-	leaf := c.leafFor(rankLo, t.fanout)
+	if rankLo < 0 || rankLo >= len(c.roster) || rankLo%c.fanout != 0 {
+		t.mu.Unlock()
+		return nil, fmt.Errorf("fl: partial rank %d is not an aligned leaf block of a %d-member roster (fanout %d)", rankLo, len(c.roster), c.fanout)
+	}
+	leaf := c.leafAt(rankLo)
 	if leaf.done {
 		if leaf.remote {
 			// Idempotent resubmission after a transport retry: the first
@@ -107,25 +106,16 @@ func (t *Tree) AggregatePartialCtx(ctx context.Context, round int, kind string, 
 	// The partial speaks for every member of the block: they are submitted
 	// (a later direct submission is a double-submit) and no longer pending
 	// (deadline expiry must not evict them).
-	hi := rankLo + t.fanout
-	if hi > n {
-		hi = n
-	}
-	for r := rankLo; r < hi; r++ {
-		id := t.roster[r]
+	for _, id := range leaf.fold.order {
 		c.submit[id] = true
-		if c.pending[id] {
-			delete(c.pending, id)
-			c.subs++
-		}
+		delete(c.pending, id)
 	}
 	leaf.done = true
 	leaf.remote = true
-	parent := c.tiers[1][leaf.index/t.fanout]
-	childRank := leaf.index % t.fanout
+	parent := c.tiers[1][leaf.index/c.fanout]
+	childRank := leaf.index % c.fanout
 	if weight > 0 {
 		t.partials++
-		leaf.contribed = true
 	} else {
 		t.tierEvictions[1]++
 	}

@@ -149,7 +149,7 @@ func TestTreePartialValidation(t *testing.T) {
 		defer wg.Done()
 		_, _ = tr.AggregateModel(10, 0, []float64{1})
 	}()
-	waitTreeSubs(t, tr, 0, "model", 1)
+	waitSubs(t, tr, 0, "model", 1)
 	if _, err := tr.AggregatePartial(0, "model", 0, []float64{5}, 2); err == nil {
 		t.Fatal("partial over a partially folded block accepted")
 	}

@@ -141,7 +141,7 @@ func TestAsyncNilVsAbstainDistinct(t *testing.T) {
 }
 
 // TestAsyncWireMatchesInProcess: the TCP async fold must agree bit-for-bit
-// with an in-process fl.Server fed the identical submission sequence —
+// with an in-process fl.AsyncAggregator fed the identical submission sequence —
 // after accounting for the codec's wire quantization on both submit and
 // reply, exactly like the synchronous TestDistributedMatchesInProcess.
 func TestAsyncWireMatchesInProcess(t *testing.T) {
@@ -149,8 +149,8 @@ func TestAsyncWireMatchesInProcess(t *testing.T) {
 	acfg := fl.AsyncConfig{K: 2, MaxStaleness: 4, StalenessWeight: 0.5}
 
 	// Reference: in-process server with quantized submissions.
-	ref := fl.NewServer(2)
-	if err := ref.SetAsync(acfg); err != nil {
+	ref, err := fl.NewAsync(acfg)
+	if err != nil {
 		t.Fatal(err)
 	}
 

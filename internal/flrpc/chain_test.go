@@ -157,8 +157,8 @@ func TestChainedAsyncWireMatchesInProcess(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	ref := fl.NewServer(2)
-	if err := ref.SetAsync(acfg); err != nil {
+	ref, err := fl.NewAsync(acfg)
+	if err != nil {
 		t.Fatal(err)
 	}
 	refAgg := sparse.WrapAggregator(ref, chain)

@@ -15,7 +15,7 @@
 //
 // The in-process engine (internal/fl) and this package share the exact same
 // strategy code: a FedSU manager cannot tell whether its Aggregator is the
-// in-process server or a TCP connection.
+// in-process collective or a TCP connection.
 //
 // # Fault tolerance
 //
@@ -178,22 +178,22 @@ type Config struct {
 	// defaults to Deadline. Ignored without a Deadline.
 	HeartbeatGrace time.Duration
 	// Async switches the coordinator to buffered-async aggregation
-	// (fl.SetAsync): Aggregate calls return immediately with the current
-	// global instead of blocking on a round barrier, and the server
+	// (fl.NewAsync): Aggregate calls return immediately with the current
+	// global instead of blocking on a round barrier, and the aggregator
 	// applies a staleness-weighted global every Async.K contributions.
 	// The zero value keeps synchronous barriers. Note that over a real
 	// network the arrival order is wall-clock — the bit-level
 	// seed-determinism contract applies to the netem-driven emulation,
 	// not this transport.
 	Async fl.AsyncConfig
-	// Fanout, when >= 2, switches the coordinator's collective to the
-	// hierarchical fl.Tree: leaf-aggregator relays reserve aligned id
-	// blocks (JoinArgs.BlockSize) and submit one partial per collective
+	// Fanout, when >= 2, makes the coordinator's collective a multi-tier
+	// fl.Tree: leaf-aggregator relays reserve aligned id blocks
+	// (JoinArgs.BlockSize) and submit one partial per collective
 	// (SubmitPartial), so root work is O(fanout) rather than
-	// O(participants). Direct clients still work (mixed trees are fine)
-	// but lose the flat server's idempotent-resubmission affordance —
-	// only relay partials are retried idempotently. Incompatible with
-	// Async. Zero keeps the flat fl.Server.
+	// O(participants). Direct clients still work (mixed trees are fine),
+	// and their resubmissions after a reconnect are idempotent, exactly as
+	// on the flat collective; relay partials are too. Incompatible with
+	// Async. Below 2 the collective is flat (one leaf).
 	Fanout int
 	// Compress selects the compression chain for collective replies, as a
 	// codec chain spec ("topk,q4,rans" — see codec.Parse). The decode side
@@ -232,19 +232,20 @@ type Coordinator struct {
 	// reclamation is left to the GC. Guarded by mu.
 	replyEnc map[aggKey][]byte
 
-	// hbMu guards lastSeen alone. It is never held while calling into srv,
-	// and srv's deadline expiry calls alive() while holding its own lock —
-	// a shared mutex here would invert the lock order and deadlock.
+	// hbMu guards lastSeen alone and is never held while calling into
+	// coll. coll's deadline expiry calls alive() with no collective lock
+	// held, so alive() may take mu (ordered before the collective's lock).
 	hbMu     sync.Mutex
 	lastSeen map[int]time.Time
 
 	counters *trace.Counters
 	// chain is the parsed Compress spec (nil for the default wire).
 	chain *codec.Chain
-	// Exactly one of srv/tree is non-nil: the flat collective, or the
-	// hierarchical one (Config.Fanout).
-	srv  *fl.Server
-	tree *fl.Tree
+	// coll is the barrier collective (flat, or a tree at Config.Fanout);
+	// async is the buffered-async aggregator, non-nil only with
+	// Config.Async.
+	coll  *fl.Tree
+	async *fl.AsyncAggregator
 	// blockOf maps every id of a relay-reserved block to the block's base
 	// id, for heartbeat attribution (a relay's Ping keeps its whole block
 	// alive). Guarded by mu.
@@ -285,29 +286,23 @@ func NewCoordinatorWith(cfg Config) (*Coordinator, error) {
 			c.chain = chain
 		}
 	}
-	if cfg.Fanout >= 2 {
-		if cfg.Async.Enabled() {
-			return nil, fmt.Errorf("flrpc: tree mode (Fanout %d) is synchronous-only; async is a flat-server feature", cfg.Fanout)
-		}
-		c.tree = fl.NewTree(cfg.Fanout)
-		if cfg.Deadline > 0 {
-			c.tree.SetDeadline(cfg.Deadline)
-			c.tree.SetAliveProbe(c.alive)
-		}
-		return c, nil
-	}
-	c.srv = fl.NewServer(cfg.NumClients)
-	// Resubmission after a client reconnect must be benign, not a
-	// double-submit error.
-	c.srv.SetIdempotent(true)
-	if cfg.Deadline > 0 {
-		c.srv.SetDeadline(cfg.Deadline)
-		c.srv.SetAliveProbe(c.alive)
-	}
 	if cfg.Async.Enabled() {
-		if err := c.srv.SetAsync(cfg.Async); err != nil {
+		if cfg.Fanout >= 2 {
+			return nil, fmt.Errorf("flrpc: tree mode (Fanout %d) is synchronous-only; async has no barrier to distribute", cfg.Fanout)
+		}
+		async, err := fl.NewAsync(cfg.Async)
+		if err != nil {
 			return nil, err
 		}
+		c.async = async
+	}
+	c.coll = fl.NewTree(cfg.Fanout)
+	// Resubmission after a client reconnect must be benign, not a
+	// double-submit error.
+	c.coll.SetIdempotent(true)
+	if cfg.Deadline > 0 {
+		c.coll.SetDeadline(cfg.Deadline)
+		c.coll.SetAliveProbe(c.alive)
 	}
 	return c, nil
 }
@@ -315,32 +310,26 @@ func NewCoordinatorWith(cfg Config) (*Coordinator, error) {
 // AsyncVersion returns the number of async global applications (zero in
 // synchronous mode).
 func (c *Coordinator) AsyncVersion() int {
-	if c.srv == nil {
+	if c.async == nil {
 		return 0
 	}
-	return c.srv.AsyncVersion()
+	return c.async.AsyncVersion()
 }
 
 // StaleDropCount returns contributions dropped for exceeding MaxStaleness.
 func (c *Coordinator) StaleDropCount() int {
-	if c.srv == nil {
+	if c.async == nil {
 		return 0
 	}
-	return c.srv.StaleDropCount()
+	return c.async.StaleDropCount()
 }
 
-// TierStats returns the tree collective's per-tier telemetry (zero value
-// in flat mode).
-func (c *Coordinator) TierStats() fl.TierStats {
-	if c.tree == nil {
-		return fl.TierStats{}
-	}
-	return c.tree.Stats()
-}
+// TierStats returns the collective's per-tier telemetry.
+func (c *Coordinator) TierStats() fl.TierStats { return c.coll.Stats() }
 
 // alive reports whether a client was heard from within the heartbeat
-// grace window; consulted by the server when a barrier deadline expires.
-// A relay's heartbeat speaks for every member of its block.
+// grace window; consulted by the collective when a barrier deadline
+// expires. A relay's heartbeat speaks for every member of its block.
 func (c *Coordinator) alive(clientID int) bool {
 	c.mu.Lock()
 	base, blocked := c.blockOf[clientID]
@@ -369,29 +358,10 @@ func (c *Coordinator) heard(clientID int) {
 func (c *Coordinator) Counters() *trace.Counters { return c.counters }
 
 // Evicted returns the ids evicted so far, ascending.
-func (c *Coordinator) Evicted() []int {
-	if c.tree != nil {
-		return c.tree.Evicted()
-	}
-	return c.srv.Evicted()
-}
+func (c *Coordinator) Evicted() []int { return c.coll.Evicted() }
 
 // EvictionCount returns the cumulative number of deadline evictions.
-func (c *Coordinator) EvictionCount() int {
-	if c.tree != nil {
-		return c.tree.EvictionCount()
-	}
-	return c.srv.EvictionCount()
-}
-
-// readmit clears evicted status on whichever collective is active.
-func (c *Coordinator) readmit(clientID int) {
-	if c.tree != nil {
-		c.tree.Readmit(clientID)
-		return
-	}
-	c.srv.Readmit(clientID)
-}
+func (c *Coordinator) EvictionCount() int { return c.coll.EvictionCount() }
 
 // Join implements the session handshake, including rejoin-by-id after a
 // client reconnects and block reservation for leaf-aggregator relays.
@@ -402,7 +372,7 @@ func (c *Coordinator) Join(args JoinArgs, reply *JoinReply) error {
 		if args.ClientID < 0 || args.ClientID >= c.nextID {
 			return fmt.Errorf("flrpc: rejoin of unknown client %d", args.ClientID)
 		}
-		c.readmit(args.ClientID)
+		c.coll.Readmit(args.ClientID)
 		c.counters.Inc("rejoins")
 		c.heard(args.ClientID)
 		*reply = JoinReply{ClientID: args.ClientID, NumClients: c.numClients, ModelSize: c.modelSize}
@@ -410,10 +380,10 @@ func (c *Coordinator) Join(args JoinArgs, reply *JoinReply) error {
 	}
 	span := 1
 	if args.BlockSize > 0 {
-		if c.tree == nil {
+		fanout := c.coll.Fanout()
+		if fanout == 0 {
 			return fmt.Errorf("flrpc: block join against a flat coordinator (no Fanout configured)")
 		}
-		fanout := c.tree.Fanout()
 		if c.nextID%fanout != 0 {
 			return fmt.Errorf("flrpc: block join at id %d is not aligned to fanout %d (join relays before direct clients)", c.nextID, fanout)
 		}
@@ -459,17 +429,11 @@ func (c *Coordinator) Ping(args PingArgs, reply *PingReply) error {
 // session started below its -clients capacity must not barrier on
 // phantom ids that never connected. Caller holds c.mu.
 func (c *Coordinator) beginRoundLocked(round int) {
-	if c.begun[round] || c.cfg.Async.Enabled() {
+	if c.begun[round] || c.async != nil {
 		return
 	}
-	ids := append([]int(nil), c.allIDs...)
-	if c.tree != nil {
-		c.tree.SetRoster(ids)
-		c.tree.BeginRound(round, ids)
-	} else {
-		c.srv.SetRoster(ids)
-		c.srv.BeginRound(round, ids)
-	}
+	c.coll.SetRoster(c.allIDs)
+	c.coll.BeginRound(round, c.allIDs)
 	c.begun[round] = true
 	delete(c.begun, round-2) // bounded bookkeeping
 	for k := range c.replyEnc {
@@ -479,13 +443,13 @@ func (c *Coordinator) beginRoundLocked(round int) {
 	}
 }
 
-// collective returns the active aggregation service (flat or tree); both
-// satisfy the ctx-aware dispatch contract.
-func (c *Coordinator) collective() sparse.Aggregator {
-	if c.tree != nil {
-		return c.tree
+// aggregator returns the service Aggregate submits to: the async
+// aggregator in async mode, the barrier collective otherwise.
+func (c *Coordinator) aggregator() sparse.Aggregator {
+	if c.async != nil {
+		return c.async
 	}
-	return c.srv
+	return c.coll
 }
 
 // Aggregate implements the blocking collective call.
@@ -500,10 +464,11 @@ func (c *Coordinator) Aggregate(args AggArgs, reply *AggReply) error {
 	c.heard(args.ClientID)
 	c.counters.Add("agg_rx_bytes", int64(len(args.Payload)))
 
-	// Decode the contribution into a pooled vector. The fl.Server stages
+	// Decode the contribution into a pooled vector. The collective stages
 	// submissions by reference and drops them when the barrier closes, and
 	// this handler blocks inside the collective until exactly then, so the
-	// buffer is recyclable once the dispatch below returns. modelSize bounds
+	// buffer is recyclable once the dispatch below returns (the async fold
+	// reads it only during the call). modelSize bounds
 	// the claimed vector length against hostile payloads.
 	var vecBuf *[]float64
 	if !args.Abstain {
@@ -525,9 +490,9 @@ func (c *Coordinator) Aggregate(args AggArgs, reply *AggReply) error {
 	// aggregation in the codebase.
 	switch args.Kind {
 	case "model":
-		res, err = sparse.AggModel(context.Background(), c.collective(), args.ClientID, args.Round, values)
+		res, err = sparse.AggModel(context.Background(), c.aggregator(), args.ClientID, args.Round, values)
 	case "error":
-		res, err = sparse.AggError(context.Background(), c.collective(), args.ClientID, args.Round, values)
+		res, err = sparse.AggError(context.Background(), c.aggregator(), args.ClientID, args.Round, values)
 	default:
 		return fmt.Errorf("flrpc: unknown collective kind %q", args.Kind)
 	}
@@ -545,7 +510,7 @@ func (c *Coordinator) encodeReply(round int, kind string, res []float64, reply *
 		reply.Nil = true
 		return
 	}
-	if c.cfg.Async.Enabled() {
+	if c.async != nil {
 		// No reply cache in async mode: the global evolves with every K-th
 		// submission, so a (round, kind) key does not identify one stable
 		// result the way a closed barrier's mean does.
@@ -596,7 +561,7 @@ func (c *Coordinator) encodeVector(res []float64) []byte {
 // and a resubmission after a relay reconnect is idempotent.
 func (c *Coordinator) SubmitPartial(args PartialArgs, reply *AggReply) error {
 	c.mu.Lock()
-	if c.tree == nil {
+	if c.coll.Fanout() == 0 {
 		c.mu.Unlock()
 		return fmt.Errorf("flrpc: partial submitted to a flat coordinator (no Fanout configured)")
 	}
@@ -627,7 +592,7 @@ func (c *Coordinator) SubmitPartial(args PartialArgs, reply *AggReply) error {
 		return fmt.Errorf("flrpc: unknown collective kind %q", args.Kind)
 	}
 	c.counters.Add("relay_traffic_bytes", p.Traffic)
-	res, err := c.tree.AggregatePartialCtx(context.Background(), args.Round, args.Kind, p.RankLo, p.Sum, p.Weight)
+	res, err := c.coll.AggregatePartialCtx(context.Background(), args.Round, args.Kind, p.RankLo, p.Sum, p.Weight)
 	if err != nil {
 		return err
 	}
