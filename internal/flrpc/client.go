@@ -337,12 +337,13 @@ func (c *Client) call(ctx context.Context, kind string, clientID, round int, val
 	args := AggArgs{ClientID: clientID, Round: round, Kind: kind, Abstain: values == nil}
 	if values != nil {
 		// Encode into a pooled buffer — sized exactly by VectorPayloadSize
-		// on the default wire, grown by the chain encoder otherwise.
+		// on the default wire, to the dense base image on a chain (the
+		// size class the pool can recycle it under).
 		// net/rpc writes the request synchronously inside Go — by the time
 		// any attempt returns (even via ctx), the bytes are on the wire — so
 		// the buffer is recyclable when this call exits, retries included.
 		if c.chain != nil {
-			chainBuf := codec.GetBuf(64)
+			chainBuf := codec.GetBuf(codec.DenseBaseSize(len(values)))
 			defer codec.PutBuf(chainBuf)
 			*chainBuf = c.chain.AppendEncode((*chainBuf)[:0], values)
 			args.Payload = *chainBuf

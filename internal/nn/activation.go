@@ -5,7 +5,8 @@ import "fedsu/internal/tensor"
 // ReLU is the rectified-linear activation, applied element-wise at the
 // storage width E.
 type ReLU[E tensor.Elem] struct {
-	mask []bool
+	mask  []bool
+	arena *stepArena
 }
 
 var (
@@ -18,20 +19,26 @@ func NewReLU() *ReLU[float64] { return newReLUOf[float64]() }
 
 func newReLUOf[E tensor.Elem]() *ReLU[E] { return &ReLU[E]{} }
 
-// Forward implements Layer.
+func (r *ReLU[E]) bindArena(a *stepArena) { r.arena = a }
+
+// Forward implements Layer in one pass: every output element is written
+// once, so the output may come from the step arena.
 func (r *ReLU[E]) Forward(x *tensor.Tensor, _ bool) *tensor.Tensor {
-	y := x.Clone()
+	y := r.arena.get(tensor.DTypeOf[E](), x.Shape()...)
 	if cap(r.mask) < y.Len() {
 		r.mask = make([]bool, y.Len())
 	}
 	r.mask = r.mask[:y.Len()]
-	d := tensor.DataOf[E](y)
-	for i, v := range d {
+	xd, yd := tensor.DataOf[E](x), tensor.DataOf[E](y)
+	mask := r.mask[:len(xd)]
+	yd = yd[:len(xd)]
+	for i, v := range xd {
 		if v > 0 {
-			r.mask[i] = true
+			mask[i] = true
+			yd[i] = v
 		} else {
-			r.mask[i] = false
-			d[i] = 0
+			mask[i] = false
+			yd[i] = 0
 		}
 	}
 	return y
@@ -39,11 +46,15 @@ func (r *ReLU[E]) Forward(x *tensor.Tensor, _ bool) *tensor.Tensor {
 
 // Backward implements Layer.
 func (r *ReLU[E]) Backward(grad *tensor.Tensor) *tensor.Tensor {
-	g := grad.Clone()
-	d := tensor.DataOf[E](g)
-	for i := range d {
-		if !r.mask[i] {
-			d[i] = 0
+	g := r.arena.get(tensor.DTypeOf[E](), grad.Shape()...)
+	gd, dd := tensor.DataOf[E](grad), tensor.DataOf[E](g)
+	mask := r.mask[:len(gd)]
+	dd = dd[:len(gd)]
+	for i, v := range gd {
+		if mask[i] {
+			dd[i] = v
+		} else {
+			dd[i] = 0
 		}
 	}
 	return g

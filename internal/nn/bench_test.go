@@ -71,3 +71,28 @@ func benchLSTMForwardBackward[E tensor.Elem](b *testing.B) {
 
 func BenchmarkLSTMForwardBackward(b *testing.B)    { benchLSTMForwardBackward[float64](b) }
 func BenchmarkLSTMForwardBackwardF32(b *testing.B) { benchLSTMForwardBackward[float32](b) }
+
+// benchTrainStepPaperCNN times one Model.TrainStep of the paper CNN at the
+// train-cnn end-to-end workload's shape (scale 8, batch 16, 1×28×28, 47
+// classes). Unlike the per-layer benchmarks above it goes through the
+// model, so it sees what only the model can skip or scope: the first
+// layer's parameter-only backward and the step-scoped activations.
+func benchTrainStepPaperCNN(b *testing.B, dt tensor.DType) {
+	m := NewPaperCNN(ModelConfig{InChannels: 1, ImageSize: 28, NumClasses: 47, Scale: 8, Seed: 1, DType: dt})
+	rng := rand.New(rand.NewSource(2))
+	x := tensor.NewOf(dt, 16, 1, 28, 28)
+	x.RandNormal(rng, 0, 1)
+	labels := make([]int, 16)
+	for i := range labels {
+		labels[i] = rng.Intn(47)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		m.ZeroGrad()
+		m.TrainStep(x, labels)
+	}
+}
+
+func BenchmarkTrainStepPaperCNN(b *testing.B)    { benchTrainStepPaperCNN(b, tensor.Float64) }
+func BenchmarkTrainStepPaperCNNF32(b *testing.B) { benchTrainStepPaperCNN(b, tensor.Float32) }

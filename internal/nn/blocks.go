@@ -74,6 +74,14 @@ func (b *ResidualBlock[E]) Backward(grad *tensor.Tensor) *tensor.Tensor {
 	return dx
 }
 
+func (b *ResidualBlock[E]) bindArena(a *stepArena) {
+	bindArena(b.body, a)
+	if b.shortcut != nil {
+		bindArena(b.shortcut, a)
+	}
+	bindArena(b.relu, a)
+}
+
 // Params implements Layer.
 func (b *ResidualBlock[E]) Params() []*Param {
 	ps := b.body.Params()
@@ -200,6 +208,13 @@ func (b *DenseBlock[E]) Backward(grad *tensor.Tensor) *tensor.Tensor {
 		grad = gIn
 	}
 	return grad
+}
+
+func (b *DenseBlock[E]) bindArena(a *stepArena) {
+	for _, l := range b.layers {
+		bindArena(l.relu, a)
+		bindArena(l.conv, a)
+	}
 }
 
 // Params implements Layer.

@@ -16,10 +16,12 @@ type Conv2D[E tensor.Elem] struct {
 	p         tensor.ConvParams
 	useBias   bool
 
-	lastCols       *tensor.Tensor
+	lastX          *tensor.Tensor // training input, unrolled again by Backward
 	lastN, lastH   int
 	lastW          int
 	lastOH, lastOW int
+
+	arena *stepArena
 }
 
 var (
@@ -86,27 +88,33 @@ func newConv2DOf[E tensor.Elem](rng *rand.Rand, inC, outC, kernel int, opts ...C
 	return c
 }
 
-// Forward implements Layer. The im2col matrix and the pre-reorder product
-// are drawn from the scratch arena: the former is retained (Backward
-// consumes then releases it), the latter is returned before Forward exits,
-// so steady-state training allocates only the NCHW output.
-func (c *Conv2D[E]) Forward(x *tensor.Tensor, _ bool) *tensor.Tensor {
+func (c *Conv2D[E]) bindArena(a *stepArena) { c.arena = a }
+
+// Forward implements Layer. The product is tensor.ConvInto, which writes
+// the im2col matrix straight into the patch-major layout the matmul dot
+// kernel reads instead of unrolling it and transposing the unroll. The
+// pre-reorder product comes from the scratch arena, the NCHW output from
+// the step arena.
+//
+// In training the layer keeps a reference to x, not an im2col matrix:
+// Backward unrolls x again into the (C·KH·KW × N·OH·OW) layout the weight
+// gradient's dot kernel reads as is. A second unroll from the small input
+// costs less than transposing the large unrolled matrix, and nothing of
+// size K × N·OH·OW is held between the passes. Callers must not modify x
+// between Forward and Backward.
+func (c *Conv2D[E]) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 	dt := tensor.DTypeOf[E]()
 	n, h, w := x.Dim(0), x.Dim(2), x.Dim(3)
 	oh, ow := c.p.OutSize(h, w)
 	spatial := n * oh * ow
-	// An eval-only Forward chain never runs Backward; recycle the previous
-	// call's im2col matrix instead of leaking it from the arena.
-	if c.lastCols != nil {
-		tensor.PutScratch(c.lastCols)
+	c.lastX = nil
+	if train {
+		c.lastX = x
 	}
-	cols := tensor.GetScratchOf(dt, c.inC*c.p.KernelH*c.p.KernelW, spatial)
-	tensor.Im2ColInto(cols, x, c.p)
-	c.lastCols = cols
 	c.lastN, c.lastH, c.lastW, c.lastOH, c.lastOW = n, h, w, oh, ow
 
 	y := tensor.GetScratchOf(dt, c.outC, spatial) // (outC, N*OH*OW)
-	tensor.MatMulInto(y, c.weight.Value, cols)
+	tensor.ConvInto(y, c.weight.Value, x, c.p)
 	if c.useBias {
 		bd := tensor.DataOf[E](c.bias.Value)
 		yd := tensor.DataOf[E](y)
@@ -119,7 +127,7 @@ func (c *Conv2D[E]) Forward(x *tensor.Tensor, _ bool) *tensor.Tensor {
 		}
 	}
 	// Reorder (outC, N, OH, OW) → (N, outC, OH, OW).
-	out := tensor.NewOf(dt, n, c.outC, oh, ow)
+	out := c.arena.get(dt, n, c.outC, oh, ow)
 	od, yd := tensor.DataOf[E](out), tensor.DataOf[E](y)
 	plane := oh * ow
 	for oc := 0; oc < c.outC; oc++ {
@@ -134,9 +142,21 @@ func (c *Conv2D[E]) Forward(x *tensor.Tensor, _ bool) *tensor.Tensor {
 }
 
 // Backward implements Layer. All intermediates (the reordered gradient, the
-// column gradient, and the retained im2col matrix) live in the scratch
-// arena; only the returned input gradient is allocated.
+// im2col matrix and the column gradient) live in the scratch arena; the
+// returned input gradient comes from the step arena.
 func (c *Conv2D[E]) Backward(grad *tensor.Tensor) *tensor.Tensor {
+	return c.backward(grad, true)
+}
+
+// backwardParams accumulates the weight and bias gradients only, skipping
+// the column-gradient product and col2im: the first layer's input gradient
+// is never consumed.
+func (c *Conv2D[E]) backwardParams(grad *tensor.Tensor) { c.backward(grad, false) }
+
+func (c *Conv2D[E]) backward(grad *tensor.Tensor, wantDx bool) *tensor.Tensor {
+	if c.lastX == nil {
+		panic("nn: Conv2D.Backward without a preceding training-mode Forward")
+	}
 	dt := tensor.DTypeOf[E]()
 	n, oh, ow := c.lastN, c.lastOH, c.lastOW
 	plane := oh * ow
@@ -152,7 +172,11 @@ func (c *Conv2D[E]) Backward(grad *tensor.Tensor) *tensor.Tensor {
 		}
 	}
 	// dW += g × colsᵀ; cols is (K, spatial) so use the TransB accumulator.
-	tensor.MatMulTransBAcc(c.weight.Grad, g, c.lastCols)
+	cols := tensor.GetScratchOf(dt, c.inC*c.p.KernelH*c.p.KernelW, spatial)
+	tensor.Im2ColInto(cols, c.lastX, c.p)
+	tensor.MatMulTransBAcc(c.weight.Grad, g, cols)
+	tensor.PutScratch(cols)
+	c.lastX = nil
 	if c.useBias {
 		// The bias gradient sums N*OH*OW terms per channel: widen to a
 		// float64 accumulator and round once into the stored gradient.
@@ -166,17 +190,16 @@ func (c *Conv2D[E]) Backward(grad *tensor.Tensor) *tensor.Tensor {
 			bd[oc] += roundE[E](s)
 		}
 	}
+	if !wantDx {
+		tensor.PutScratch(g)
+		return nil
+	}
 	// dCols = Wᵀ × g, W stored (outC, K): MatMulTransA.
 	dCols := tensor.GetScratchOf(dt, c.inC*c.p.KernelH*c.p.KernelW, spatial)
 	tensor.MatMulTransAInto(dCols, c.weight.Value, g)
 	tensor.PutScratch(g)
-	// The cached im2col matrix is the layer's dominant memory holding
-	// (K × N·OH·OW floats); release it as soon as backward has consumed it
-	// so deep models do not retain every layer's unrolled activations
-	// simultaneously between iterations.
-	tensor.PutScratch(c.lastCols)
-	c.lastCols = nil
-	dx := tensor.Col2Im(dCols, n, c.inC, c.lastH, c.lastW, c.p)
+	dx := c.arena.get(dt, n, c.inC, c.lastH, c.lastW)
+	tensor.Col2ImInto(dx, dCols, c.p)
 	tensor.PutScratch(dCols)
 	return dx
 }

@@ -55,7 +55,8 @@ type Layer interface {
 	// behaviour (batch-norm batch statistics) from inference.
 	Forward(x *tensor.Tensor, train bool) *tensor.Tensor
 	// Backward computes input gradients from output gradients and
-	// accumulates parameter gradients. It must be called after Forward.
+	// accumulates parameter gradients. It must be called after a
+	// training-mode Forward (train set), whose input it may read again.
 	Backward(grad *tensor.Tensor) *tensor.Tensor
 	// Params returns the layer's parameters; empty for stateless layers.
 	Params() []*Param
@@ -90,6 +91,24 @@ func (s *Sequential) Backward(grad *tensor.Tensor) *tensor.Tensor {
 		grad = s.layers[i].Backward(grad)
 	}
 	return grad
+}
+
+// backwardParams runs the full backward through every layer but the first,
+// which only accumulates its parameter gradients when it can.
+func (s *Sequential) backwardParams(grad *tensor.Tensor) {
+	if len(s.layers) == 0 {
+		return
+	}
+	for i := len(s.layers) - 1; i > 0; i-- {
+		grad = s.layers[i].Backward(grad)
+	}
+	backwardParams(s.layers[0], grad)
+}
+
+func (s *Sequential) bindArena(a *stepArena) {
+	for _, l := range s.layers {
+		bindArena(l, a)
+	}
 }
 
 // Params implements Layer, concatenating all child parameters in order.

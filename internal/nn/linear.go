@@ -14,7 +14,8 @@ type Linear[E tensor.Elem] struct {
 	bias   *Param
 
 	in, out int
-	lastX   *tensor.Tensor
+	lastX   *tensor.Tensor // training input, read by Backward
+	arena   *stepArena
 }
 
 var (
@@ -45,12 +46,18 @@ func (l *Linear[E]) In() int { return l.in }
 // Out returns the output feature count.
 func (l *Linear[E]) Out() int { return l.out }
 
-// Forward implements Layer.
-func (l *Linear[E]) Forward(x *tensor.Tensor, _ bool) *tensor.Tensor {
+func (l *Linear[E]) bindArena(a *stepArena) { l.arena = a }
+
+// Forward implements Layer; the output comes from the step arena.
+func (l *Linear[E]) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 	n := x.Dim(0)
 	x2 := x.Reshape(n, x.Len()/n)
-	l.lastX = x2
-	y := tensor.MatMul(x2, l.weight.Value)
+	l.lastX = nil
+	if train {
+		l.lastX = x2
+	}
+	y := l.arena.get(tensor.DTypeOf[E](), n, l.out)
+	tensor.MatMulInto(y, x2, l.weight.Value)
 	bd := tensor.DataOf[E](l.bias.Value)
 	yd := tensor.DataOf[E](y)
 	for i := 0; i < n; i++ {
@@ -62,11 +69,24 @@ func (l *Linear[E]) Forward(x *tensor.Tensor, _ bool) *tensor.Tensor {
 	return y
 }
 
-// Backward implements Layer.
+// Backward implements Layer; the input gradient comes from the step arena.
 func (l *Linear[E]) Backward(grad *tensor.Tensor) *tensor.Tensor {
+	l.backwardParams(grad)
+	// dx = grad × Wᵀ, with W stored (in, out): use MatMulTransB.
+	dx := l.arena.get(tensor.DTypeOf[E](), grad.Dim(0), l.in)
+	tensor.MatMulTransBInto(dx, grad, l.weight.Value)
+	return dx
+}
+
+// backwardParams accumulates the weight and bias gradients only.
+func (l *Linear[E]) backwardParams(grad *tensor.Tensor) {
+	if l.lastX == nil {
+		panic("nn: Linear.Backward without a preceding training-mode Forward")
+	}
 	n := grad.Dim(0)
 	// dW += xᵀ × grad, accumulated in place (no temporary + Add pass).
 	tensor.MatMulTransAAcc(l.weight.Grad, l.lastX, grad)
+	l.lastX = nil
 	// db = column sums of grad, accumulated at storage width — the same
 	// accumulator policy as dW, whose matmul accumulates in E.
 	gd := tensor.DataOf[E](grad)
@@ -77,8 +97,6 @@ func (l *Linear[E]) Backward(grad *tensor.Tensor) *tensor.Tensor {
 			bd[j] += row[j]
 		}
 	}
-	// dx = grad × Wᵀ, with W stored (in, out): use MatMulTransB.
-	return tensor.MatMulTransB(grad, l.weight.Value)
 }
 
 // Params implements Layer.

@@ -32,6 +32,7 @@ type Model struct {
 	net    Layer
 	loss   lossHead
 	params []*Param
+	arena  stepArena // scopes TrainStep/Loss/Evaluate temporaries
 
 	size       int // total scalar count across all params
 	optSize    int // scalar count across optimizer-visible params
@@ -54,6 +55,7 @@ func NewModel(name string, net Layer, numClasses int) *Model {
 	if len(m.params) > 0 {
 		m.dtype = m.params[0].Value.DType()
 	}
+	bindArena(net, &m.arena)
 	if m.dtype == tensor.Float32 {
 		m.loss = newSoftmaxCrossEntropyOf[float32]()
 	} else {
@@ -87,7 +89,9 @@ func (m *Model) DType() tensor.DType { return m.dtype }
 // Params returns the model parameters in synchronization order.
 func (m *Model) Params() []*Param { return m.params }
 
-// Forward runs the network and returns logits.
+// Forward runs the network and returns logits. It runs outside any step,
+// so the returned tensor (and every activation behind it) belongs to the
+// caller and is never recycled by a later step.
 func (m *Model) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 	return m.net.Forward(x, train)
 }
@@ -101,16 +105,24 @@ func (m *Model) ZeroGrad() {
 
 // TrainStep runs one forward/backward pass on a batch, accumulating
 // gradients, and returns the batch loss. The caller applies the optimizer.
+//
+// The backward pass is parameter-only at the first layer: nothing consumes
+// the gradient w.r.t. the batch, so a first layer that can skip forming it
+// does. Activations and gradients are scoped to the step (see stepArena).
 func (m *Model) TrainStep(x *tensor.Tensor, labels []int) float64 {
+	m.arena.begin()
+	defer m.arena.end()
 	logits := m.net.Forward(x, true)
 	loss := m.loss.Forward(logits, labels)
-	m.net.Backward(m.loss.Backward())
+	backwardParams(m.net, m.loss.Backward())
 	return loss
 }
 
 // Loss computes the loss of a batch without accumulating gradients' side
 // effects beyond the forward caches.
 func (m *Model) Loss(x *tensor.Tensor, labels []int) float64 {
+	m.arena.begin()
+	defer m.arena.end()
 	logits := m.net.Forward(x, false)
 	return m.loss.Forward(logits, labels)
 }
@@ -118,6 +130,8 @@ func (m *Model) Loss(x *tensor.Tensor, labels []int) float64 {
 // Evaluate returns the accuracy and mean loss of the model over the given
 // batch in inference mode.
 func (m *Model) Evaluate(x *tensor.Tensor, labels []int) (acc, loss float64) {
+	m.arena.begin()
+	defer m.arena.end()
 	logits := m.net.Forward(x, false)
 	return Accuracy(logits, labels), m.loss.Forward(logits, labels)
 }

@@ -7,13 +7,15 @@ import (
 )
 
 // MaxPool2D is a max-pooling layer over NCHW tensors. Window comparisons
-// happen on exactly-widened float64 values, so the selected element (and its
-// argmax index) is identical to a storage-width comparison at either E.
+// run at the storage width E; widening to float64 is exact and
+// order-preserving, so the selected element (and its argmax index) is the
+// one a float64 comparison would pick.
 type MaxPool2D[E tensor.Elem] struct {
 	p tensor.ConvParams
 
 	argmax    []int // flat input index chosen for each output element
 	lastShape []int
+	arena     *stepArena
 }
 
 var (
@@ -34,42 +36,44 @@ func newMaxPool2DOf[E tensor.Elem](window, stride int) *MaxPool2D[E] {
 	}}
 }
 
-// Forward implements Layer.
+func (m *MaxPool2D[E]) bindArena(a *stepArena) { m.arena = a }
+
+// Forward implements Layer; the output comes from the step arena.
 func (m *MaxPool2D[E]) Forward(x *tensor.Tensor, _ bool) *tensor.Tensor {
 	n, c, h, w := x.Dim(0), x.Dim(1), x.Dim(2), x.Dim(3)
 	oh, ow := m.p.OutSize(h, w)
-	m.lastShape = x.Shape()
-	out := tensor.NewOf(tensor.DTypeOf[E](), n, c, oh, ow)
+	m.lastShape = append(m.lastShape[:0], n, c, h, w)
+	out := m.arena.get(tensor.DTypeOf[E](), n, c, oh, ow)
 	if cap(m.argmax) < out.Len() {
 		m.argmax = make([]int, out.Len())
 	}
 	m.argmax = m.argmax[:out.Len()]
 	xd, od := tensor.DataOf[E](x), tensor.DataOf[E](out)
+	negInf := roundE[E](math.Inf(-1))
+	argmax := m.argmax
 	oi := 0
 	for ni := 0; ni < n; ni++ {
 		for ci := 0; ci < c; ci++ {
 			base := (ni*c + ci) * h * w
 			for oy := 0; oy < oh; oy++ {
+				y0 := oy * m.p.StrideH
+				y1 := min(y0+m.p.KernelH, h)
 				for ox := 0; ox < ow; ox++ {
-					best, bidx := math.Inf(-1), -1
-					for ky := 0; ky < m.p.KernelH; ky++ {
-						iy := oy*m.p.StrideH + ky
-						if iy >= h {
-							continue
-						}
-						for kx := 0; kx < m.p.KernelW; kx++ {
-							ix := ox*m.p.StrideW + kx
-							if ix >= w {
-								continue
-							}
-							idx := base + iy*w + ix
-							if v := toF64(xd[idx]); v > best {
-								best, bidx = v, idx
+					x0 := ox * m.p.StrideW
+					x1 := min(x0+m.p.KernelW, w)
+					// First strict maximum in window scan order; NaN never
+					// wins, as in the widened float64 comparison.
+					best, bidx := negInf, -1
+					for iy := y0; iy < y1; iy++ {
+						row := base + iy*w
+						for ix, v := range xd[row+x0 : row+x1] {
+							if v > best {
+								best, bidx = v, row+x0+ix
 							}
 						}
 					}
-					od[oi] = roundE[E](best) // exact: best is a widened element
-					m.argmax[oi] = bidx
+					od[oi] = best
+					argmax[oi] = bidx
 					oi++
 				}
 			}
@@ -78,9 +82,10 @@ func (m *MaxPool2D[E]) Forward(x *tensor.Tensor, _ bool) *tensor.Tensor {
 	return out
 }
 
-// Backward implements Layer.
+// Backward implements Layer; the input gradient comes from the step arena.
 func (m *MaxPool2D[E]) Backward(grad *tensor.Tensor) *tensor.Tensor {
-	dx := tensor.NewOf(tensor.DTypeOf[E](), m.lastShape...)
+	dx := m.arena.get(tensor.DTypeOf[E](), m.lastShape...)
+	dx.Zero()
 	dd, gd := tensor.DataOf[E](dx), tensor.DataOf[E](grad)
 	for oi, idx := range m.argmax {
 		dd[idx] += gd[oi]

@@ -224,10 +224,19 @@ func (c *Chain) AppendEncode(dst []byte, values []float64) []byte {
 	return c.appendEncode(dst, values, true)
 }
 
+// getImageBuf draws a chain-image buffer for an n-parameter vector, sized
+// to its dense base image, the largest any stage writes short of a rare
+// incompressible entropy block. A Put files a buffer under the size class
+// of its capacity, so only a Get of that class can recycle it: a small
+// Get that the encoder then grows never meets its own grown buffers,
+// allocates afresh on every encode, and leaves the grown ones piling up in
+// the pool until the next GC.
+func getImageBuf(n int) *[]byte { return GetBuf(DenseBaseSize(n)) }
+
 func (c *Chain) appendEncode(dst []byte, values []float64, counted bool) []byte {
-	bufA := GetBuf(64)
+	bufA := getImageBuf(len(values))
 	defer PutBuf(bufA)
-	bufB := GetBuf(64)
+	bufB := getImageBuf(len(values))
 	defer PutBuf(bufB)
 	cur, nxt := bufA, bufB
 
@@ -277,7 +286,7 @@ func (c *Chain) PayloadSize(values []float64) int {
 	if c.IsDefault() {
 		return BaseSize(values)
 	}
-	buf := GetBuf(64)
+	buf := getImageBuf(len(values))
 	defer PutBuf(buf)
 	*buf = c.appendEncode((*buf)[:0], values, false)
 	return len(*buf)
@@ -320,7 +329,7 @@ func (c *Chain) roundTrip(values []float64, counted bool) []float64 {
 	if values == nil {
 		return nil
 	}
-	buf := GetBuf(64)
+	buf := getImageBuf(len(values))
 	defer PutBuf(buf)
 	*buf = c.appendEncode((*buf)[:0], values, counted)
 	out, err := DecodeInto(make([]float64, len(values)), *buf, len(values))

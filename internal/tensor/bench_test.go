@@ -82,3 +82,38 @@ func benchCol2Im(b *testing.B, dt DType) {
 
 func BenchmarkCol2Im(b *testing.B)    { benchCol2Im(b, Float64) }
 func BenchmarkCol2ImF32(b *testing.B) { benchCol2Im(b, Float32) }
+
+// BenchmarkConvForward times a convolution's forward product at the paper
+// CNN's two conv shapes (scale 8, batch 16: 1→4 channels on 28×28 and 4→8
+// on 12×12, 5×5 kernels), both ways: "unroll" builds the (K × N·OH·OW)
+// im2col matrix and lets MatMul transpose it into its packed layout;
+// "packed" is ConvInto, which writes the packed layout directly. The
+// unrolled matrices have 9216- and 1024-element rows, multiples of 4 KiB at
+// float64 (see transposeStrips).
+func BenchmarkConvForward(b *testing.B) {
+	p := ConvParams{KernelH: 5, KernelW: 5, StrideH: 1, StrideW: 1}
+	for _, s := range []struct {
+		name         string
+		n, c, hw, oc int
+	}{{"conv1", 16, 1, 28, 4}, {"conv2", 16, 4, 12, 8}} {
+		rng := rand.New(rand.NewSource(1))
+		x := NewOf(Float64, s.n, s.c, s.hw, s.hw)
+		x.RandNormal(rng, 0, 1)
+		w := NewOf(Float64, s.oc, s.c*25)
+		w.RandNormal(rng, 0, 1)
+		oh, ow := p.OutSize(s.hw, s.hw)
+		y := NewOf(Float64, s.oc, s.n*oh*ow)
+		cols := NewOf(Float64, s.c*25, s.n*oh*ow)
+		b.Run("unroll/"+s.name, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				Im2ColInto(cols, x, p)
+				MatMulInto(y, w, cols)
+			}
+		})
+		b.Run("packed/"+s.name, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				ConvInto(y, w, x, p)
+			}
+		})
+	}
+}

@@ -141,6 +141,104 @@ func im2colRows[E Elem](od, xd []E, p ConvParams, n, c, h, w, oh, ow, rLo, rHi i
 	}
 }
 
+// ConvInto computes the convolution product dst = W × Im2Col(x), W being
+// (outC × C·KH·KW) and dst (outC × N·OH·OW), bit-identical to Im2ColInto
+// followed by MatMulInto. Where MatMul would pack Bᵀ for its dot kernel it
+// writes the im2col matrix straight into that patch-major (N·OH·OW ×
+// C·KH·KW) layout, skipping the unroll-then-transpose round trip; smaller
+// products take the plain path. The kernel choice follows matmul's own
+// size rule, so every element sees the same multiply-adds in the same
+// p = 0..k-1 order either way. The weight gradient's dot kernel reads the
+// (K × N·OH·OW) layout instead, so a training convolution unrolls its
+// input again with Im2ColInto in the backward pass.
+func ConvInto(dst, w, x *Tensor, p ConvParams) {
+	n, c, h, wd := x.shape[0], x.shape[1], x.shape[2], x.shape[3]
+	oh, ow := p.OutSize(h, wd)
+	m, k := w.shape[0], w.shape[1]
+	s := n * oh * ow
+	if k != c*p.KernelH*p.KernelW || dst.shape[0] != m || dst.shape[1] != s {
+		panic(fmt.Sprintf("tensor: ConvInto shape mismatch dst=%v w=%v x=%v", dst.shape, w.shape, x.shape))
+	}
+	checkSameDType("ConvInto", dst, w, x)
+	if !packs(m, k, s) {
+		cols := GetScratchOf(x.dt, k, s)
+		Im2ColInto(cols, x, p)
+		MatMulInto(dst, w, cols)
+		PutScratch(cols)
+		return
+	}
+	bt := GetScratchOf(x.dt, s, k)
+	if x.dt == Float32 {
+		convPacked(dst.data32, w.data32, bt.data32, x.data32, p, n, c, h, wd, oh, ow)
+	} else {
+		convPacked(dst.data, w.data, bt.data, x.data, p, n, c, h, wd, oh, ow)
+	}
+	PutScratch(bt)
+}
+
+// convPacked fills the patch-major im2col bt, over the worker pool when
+// the unroll is large enough (patch rows are disjoint), then runs the dot
+// kernel on it.
+func convPacked[E Elem](y, w, bt, xd []E, p ConvParams, n, c, h, wd, oh, ow int) {
+	k := c * p.KernelH * p.KernelW
+	s := n * oh * ow
+	if parallelWorthwhile(int64(k) * int64(s)) {
+		par.Parallelize(n*oh, func(lo, hi int) {
+			im2colPatches(bt, xd, p, c, h, wd, oh, ow, lo, hi)
+		})
+	} else {
+		im2colPatches(bt, xd, p, c, h, wd, oh, ow, 0, n*oh)
+	}
+	matmulPacked(y, w, bt, len(w)/k, k, s, false)
+}
+
+// im2colPatches writes the patches of output rows [rLo, rHi) of the
+// (N·OH) × OW output grid, row r = ni·OH + oy, in patch-major order: patch
+// (ni, oy, ox) is one contiguous run of C·KH·KW taps in the (channel, kh,
+// kw) order of Im2Col's rows, so the result is Im2Col's matrix transposed.
+// Each (channel, kh) pair reads one input row and drops a KW-tap run into
+// every patch of the output row.
+func im2colPatches[E Elem](od, xd []E, p ConvParams, c, h, w, oh, ow, rLo, rHi int) {
+	k := c * p.KernelH * p.KernelW
+	kw := p.KernelW
+	for r := rLo; r < rHi; r++ {
+		ni, oy := r/oh, r%oh
+		blk := od[r*ow*k : (r+1)*ow*k]
+		for ci := 0; ci < c; ci++ {
+			plane := xd[(ni*c+ci)*h*w : (ni*c+ci+1)*h*w]
+			for kh := 0; kh < p.KernelH; kh++ {
+				tap0 := (ci*p.KernelH + kh) * kw
+				iy := oy*p.StrideH + kh - p.PadH
+				if iy < 0 || iy >= h {
+					for ox := 0; ox < ow; ox++ {
+						clear(blk[ox*k+tap0 : ox*k+tap0+kw])
+					}
+					continue
+				}
+				row := plane[iy*w : (iy+1)*w]
+				for ox := 0; ox < ow; ox++ {
+					dst := blk[ox*k+tap0 : ox*k+tap0+kw]
+					ix0 := ox*p.StrideW - p.PadW
+					if ix0 >= 0 && ix0+kw <= w {
+						src := row[ix0 : ix0+len(dst)]
+						for j, v := range src {
+							dst[j] = v
+						}
+						continue
+					}
+					for j := range dst {
+						if ix := ix0 + j; ix >= 0 && ix < w {
+							dst[j] = row[ix]
+						} else {
+							dst[j] = 0
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
 // Col2Im accumulates a column matrix (as produced by Im2Col) back into an
 // NCHW tensor of the given spatial geometry; overlapping contributions are
 // summed. It is the adjoint of Im2Col and implements the convolution input

@@ -124,8 +124,7 @@ func MatMulAcc(dst, a, b *Tensor) {
 const packCutoff = 1 << 15
 
 func matmul[E Elem](c, a, b []E, m, k, n int, acc bool) {
-	work := int64(m) * int64(k) * int64(n)
-	if work < packCutoff {
+	if !packs(m, k, n) {
 		matmulBlock(c, a, b, 0, m, 0, n, k, n, acc)
 		return
 	}
@@ -137,47 +136,71 @@ func matmul[E Elem](c, a, b []E, m, k, n int, acc bool) {
 	bts := GetScratchOf(dtypeOf[E](), n*k)
 	bt := DataOf[E](bts)
 	transposeInto(bt, b, k, n)
-	if parallelWorthwhile(work) {
-		par.ParallelizeGrain(m, tileRows, func(lo, hi int) {
-			matmulPackedRows(c, a, bt, lo, hi, k, n, acc)
-		})
-	} else {
-		matmulPackedRows(c, a, bt, 0, m, k, n, acc)
-	}
+	matmulPacked(c, a, bt, m, k, n, acc)
 	PutScratch(bts)
 }
 
-// transposeInto writes the r×c matrix src into dst column-major (dst is
-// c×r), using cache-friendly square tiles. Pure data movement — layout only.
-func transposeInto[E Elem](dst, src []E, r, c int) {
-	const tile = 32
-	if parallelWorthwhile(int64(r) * int64(c) * 8) {
-		par.ParallelizeGrain(c, tile, func(lo, hi int) {
-			transposeTiles(dst, src, r, c, lo, hi)
+// packs reports whether matmul runs an m×k by k×n product on the packed
+// dot kernel (rather than the in-place accumulate kernel).
+func packs(m, k, n int) bool { return int64(m)*int64(k)*int64(n) >= packCutoff }
+
+// matmulPacked runs the dot kernel over a packed (n×k) Bᵀ, over the worker
+// pool when the product is large enough.
+func matmulPacked[E Elem](c, a, bt []E, m, k, n int, acc bool) {
+	if parallelWorthwhile(int64(m) * int64(k) * int64(n)) {
+		par.ParallelizeGrain(m, tileRows, func(lo, hi int) {
+			matmulPackedRows(c, a, bt, lo, hi, k, n, acc)
 		})
 		return
 	}
-	transposeTiles(dst, src, r, c, 0, c)
+	matmulPackedRows(c, a, bt, 0, m, k, n, acc)
 }
 
-func transposeTiles[E Elem](dst, src []E, r, c, jLo, jHi int) {
-	const tile = 32
-	for j0 := jLo; j0 < jHi; j0 += tile {
-		j1 := j0 + tile
-		if j1 > jHi {
-			j1 = jHi
+// transposeInto writes the r×c matrix src into dst column-major (dst is
+// c×r). Pure data movement — layout only.
+func transposeInto[E Elem](dst, src []E, r, c int) {
+	if parallelWorthwhile(int64(r) * int64(c) * 8) {
+		par.ParallelizeGrain(c, transposeStrip, func(lo, hi int) {
+			transposeStrips(dst, src, r, c, lo, hi)
+		})
+		return
+	}
+	transposeStrips(dst, src, r, c, 0, c)
+}
+
+// transposeStrip is the column-strip width of transposeStrips: one cache
+// line of float64.
+const transposeStrip = 8
+
+// transposeStrips transposes source columns [jLo, jHi) a strip of eight
+// at a time: it walks the r rows once, reading eight adjacent elements of
+// each and dropping them into the strip's eight destination rows, a
+// contiguous 8·r block. Every source line is read once, whole (a full line
+// at float64, half of one at float32).
+//
+// A square-tiled transpose instead walks each tile column down r rows and
+// reads every source line eight times, one column at a time. It needs the
+// tile's rows resident between those reads, and when the row stride is a
+// multiple of 4 KiB all of them map to one L1 set and evict each other,
+// as in the paper CNN's im2col matrices at the train-cnn shape (25×9216
+// and 100×1024). The strips measured about 2× faster at both shapes
+// (DESIGN.md §5c).
+func transposeStrips[E Elem](dst, src []E, r, c, jLo, jHi int) {
+	j := jLo
+	for ; j+transposeStrip <= jHi; j += transposeStrip {
+		d := dst[j*r : (j+transposeStrip)*r]
+		d0, d1, d2, d3 := d[0*r:1*r], d[1*r:2*r], d[2*r:3*r], d[3*r:4*r]
+		d4, d5, d6, d7 := d[4*r:5*r], d[5*r:6*r], d[6*r:7*r], d[7*r:8*r]
+		for i := 0; i < r; i++ {
+			s := src[i*c+j : i*c+j+transposeStrip]
+			d0[i], d1[i], d2[i], d3[i] = s[0], s[1], s[2], s[3]
+			d4[i], d5[i], d6[i], d7[i] = s[4], s[5], s[6], s[7]
 		}
-		for i0 := 0; i0 < r; i0 += tile {
-			i1 := i0 + tile
-			if i1 > r {
-				i1 = r
-			}
-			for j := j0; j < j1; j++ {
-				dj := dst[j*r+i0 : j*r+i1]
-				for i := range dj {
-					dj[i] = src[(i0+i)*c+j]
-				}
-			}
+	}
+	for ; j < jHi; j++ {
+		dj := dst[j*r : (j+1)*r]
+		for i := range dj {
+			dj[i] = src[i*c+j]
 		}
 	}
 }
