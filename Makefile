@@ -50,16 +50,13 @@ race-f32:
 verify-f32: tier1-f32 race-f32
 
 # Short fuzz smoke over the rpc wire contract (nil-vs-abstain regression),
-# the sparse mask codecs, the self-describing vector payload flrpc ships,
-# and the tier partial-aggregate message. `go test -fuzz` accepts one
-# target per invocation, hence five runs. Seeds live in testdata/fuzz/
-# and f.Add.
+# the self-describing vector payload flrpc ships, the tier partial-aggregate
+# message, and each chain stage. `go test -fuzz` accepts one target per
+# invocation, hence seven runs. Seeds live in testdata/fuzz/ and f.Add.
 fuzz:
 	$(GO) test -fuzz '^FuzzAggWire$$' -fuzztime=$(FUZZTIME) -run '^$$' ./internal/flrpc/
-	$(GO) test -fuzz '^FuzzBitmapPayload$$' -fuzztime=$(FUZZTIME) -run '^$$' ./internal/sparse/
-	$(GO) test -fuzz '^FuzzIndexPayload$$' -fuzztime=$(FUZZTIME) -run '^$$' ./internal/sparse/
-	$(GO) test -fuzz '^FuzzVectorPayload$$' -fuzztime=$(FUZZTIME) -run '^$$' ./internal/sparse/
-	$(GO) test -fuzz '^FuzzPartialPayload$$' -fuzztime=$(FUZZTIME) -run '^$$' ./internal/sparse/
+	$(GO) test -fuzz '^FuzzVectorPayload$$' -fuzztime=$(FUZZTIME) -run '^$$' ./internal/sparse/codec/
+	$(GO) test -fuzz '^FuzzPartialPayload$$' -fuzztime=$(FUZZTIME) -run '^$$' ./internal/sparse/codec/
 	$(GO) test -fuzz '^FuzzQuantStage$$' -fuzztime=$(FUZZTIME) -run '^$$' ./internal/sparse/codec/
 	$(GO) test -fuzz '^FuzzLowRankStage$$' -fuzztime=$(FUZZTIME) -run '^$$' ./internal/sparse/codec/
 	$(GO) test -fuzz '^FuzzEntropyStage$$' -fuzztime=$(FUZZTIME) -run '^$$' ./internal/sparse/codec/
@@ -80,10 +77,10 @@ bench:
 
 # Aggregation hot-loop benchmarks (see BENCH_agg.json for the tracked
 # before/after numbers): the fl.Server streaming collective fold and the
-# pooled sparse vector wire codec. Take the median of the 3 counts.
+# pooled base wire codec. Take the median of the 3 counts.
 bench-agg:
 	$(GO) test ./internal/fl/ -run xxx -bench '^BenchmarkAggregate' -benchmem -count 3
-	$(GO) test ./internal/sparse/ -run xxx -bench '^BenchmarkVectorPayload$$' -benchmem
+	$(GO) test ./internal/sparse/codec/ -run xxx -bench '^BenchmarkVectorPayload$$' -benchmem
 
 # Hierarchical-aggregation benchmark (see BENCH_tree.json for the tracked
 # medians): the root's per-round workload flat vs tree at equal

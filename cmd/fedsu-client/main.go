@@ -104,18 +104,16 @@ func main() {
 		fatal(err)
 	}
 	syncer := factory(id, model.Size(), conn)
-	if *compress != "" {
-		// The transport does the actual encode/decode; the local strategy
-		// only needs the chain for byte accounting, so the printed
-		// sparsification ratio is rebased on the negotiated chain's dense
-		// cost rather than the legacy f32 codec's.
-		chain, err := codec.Parse(*compress, *seed)
-		if err != nil {
-			fatal(err)
-		}
-		if !chain.IsDefault() {
-			sparse.SetSyncerWire(syncer, sparse.Wire{Chain: chain})
-		}
+	// The transport does the actual encode/decode; the local strategy only
+	// needs the chain for byte accounting, so the printed sparsification
+	// ratio is rebased on the negotiated chain's dense cost rather than the
+	// legacy f32 codec's.
+	chain, err := codec.ParseWire(*compress, *seed)
+	if err != nil {
+		fatal(err)
+	}
+	if chain != nil {
+		sparse.SetSyncerWire(syncer, sparse.Wire{Chain: chain})
 	}
 	optimizer := opt.NewSGD(w.LR, opt.WithWeightDecay(0.001))
 	client := fl.NewClient(id, model, optimizer, shard, syncer, *seed+int64(id)*7919)

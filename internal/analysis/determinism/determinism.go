@@ -40,8 +40,8 @@ import (
 var Analyzer = &analysis.Analyzer{
 	Name: "determinism",
 	Doc: "flag nondeterministic inputs and map-order-dependent accumulation in kernel packages\n\n" +
-		"internal/tensor, internal/nn, internal/sparse, internal/fl, and " +
-		"internal/exp must stay bit-deterministic: no wall-clock, no global " +
+		"internal/tensor, internal/nn, internal/sparse, internal/sparse/codec, " +
+		"internal/fl, and internal/exp must stay bit-deterministic: no wall-clock, no global " +
 		"rand, no GOMAXPROCS dependence, and no numeric reduction in map " +
 		"iteration order. Experiment wall-clock reporting goes through the " +
 		"injected Config.Clock; async staleness is measured in global " +
@@ -54,13 +54,16 @@ var Analyzer = &analysis.Analyzer{
 // measured in global versions (rounds), never wall-clock — a time.Now
 // staleness clock would weight contributions by scheduler timing and break
 // seed-replay. The engine's legitimate time uses (barrier deadline timers
-// via time.AfterFunc, time.Duration config) are not banned names.
+// via time.AfterFunc, time.Duration config) are not banned names. The
+// scope matches exact import paths, so internal/sparse/codec (the seeded
+// quant rounding, every wire format) is listed on its own.
 var scope = map[string]bool{
-	"fedsu/internal/tensor": true,
-	"fedsu/internal/nn":     true,
-	"fedsu/internal/sparse": true,
-	"fedsu/internal/exp":    true,
-	"fedsu/internal/fl":     true,
+	"fedsu/internal/tensor":       true,
+	"fedsu/internal/nn":           true,
+	"fedsu/internal/sparse":       true,
+	"fedsu/internal/sparse/codec": true,
+	"fedsu/internal/exp":          true,
+	"fedsu/internal/fl":           true,
 }
 
 // banned maps package path -> function name -> true for environmental

@@ -9,5 +9,6 @@ import (
 
 func TestDeterminism(t *testing.T) {
 	analysistest.Run(t, "testdata", determinism.Analyzer,
-		"fedsu/internal/tensor", "fedsu/internal/fl", "fedsu/internal/exp")
+		"fedsu/internal/tensor", "fedsu/internal/fl", "fedsu/internal/exp",
+		"fedsu/internal/sparse/codec")
 }

@@ -9,5 +9,5 @@ import (
 
 func TestScratchpair(t *testing.T) {
 	analysistest.Run(t, "testdata", scratchpair.Analyzer,
-		"scratch", "sparsepool", "fedsu/internal/tensor")
+		"scratch", "codecpool", "fedsu/internal/tensor")
 }

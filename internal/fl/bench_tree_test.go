@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"fedsu/internal/sparse"
+	"fedsu/internal/sparse/codec"
 )
 
 // BenchmarkTreeRootFold compares the ROOT aggregator's per-round workload
@@ -90,7 +91,7 @@ func BenchmarkTreeRootFold(b *testing.B) {
 				wg.Wait()
 			}
 			b.StopTimer()
-			b.ReportMetric(float64(len(blocks)*sparse.PartialPayloadSize(size)), "rootRxB")
+			b.ReportMetric(float64(len(blocks)*codec.PartialSize(size)), "rootRxB")
 		})
 	}
 }

@@ -271,21 +271,15 @@ func NewEngineWithShards(cfg Config, builder nn.Builder, ds *data.Dataset, shard
 	if probe.DType() != cfg.DType {
 		return nil, fmt.Errorf("fl: config DType %v but builder produces %v models", cfg.DType, probe.DType())
 	}
-	var chain *codec.Chain
-	if cfg.Compress != "" {
-		if cfg.DType == tensor.Float32 {
-			// The float32 compute path relies on the wire being lossless for
-			// f32-representable values; chain stages (quantization grids,
-			// factor reconstructions) produce values outside that set.
-			return nil, fmt.Errorf("fl: Compress %q is unsupported with Float32 models: chain wire images are not float32-exact", cfg.Compress)
-		}
-		chain, err = codec.Parse(cfg.Compress, cfg.Seed)
-		if err != nil {
-			return nil, fmt.Errorf("fl: %w", err)
-		}
-		if chain.IsDefault() {
-			chain = nil // the explicit default spec is the legacy wire
-		}
+	if cfg.Compress != "" && cfg.DType == tensor.Float32 {
+		// The float32 compute path relies on the wire being lossless for
+		// f32-representable values; chain stages (quantization grids,
+		// factor reconstructions) produce values outside that set.
+		return nil, fmt.Errorf("fl: Compress %q is unsupported with Float32 models: chain wire images are not float32-exact", cfg.Compress)
+	}
+	chain, err := codec.ParseWire(cfg.Compress, cfg.Seed)
+	if err != nil {
+		return nil, fmt.Errorf("fl: %w", err)
 	}
 	coll := NewTree(cfg.Fanout)
 	if cfg.CollectiveDeadline > 0 {

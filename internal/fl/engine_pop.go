@@ -8,6 +8,7 @@ import (
 	"fedsu/internal/netem"
 	"fedsu/internal/par"
 	"fedsu/internal/sparse"
+	"fedsu/internal/sparse/codec"
 )
 
 // slotProxy rebinds a physical client slot's collective identity to the
@@ -154,7 +155,7 @@ func (e *Engine) runPopRound(ctx context.Context, evaluate bool) (RoundStats, er
 		full := int(float64(e.wire().DenseBytes(e.evalModel.Size())) * scale)
 		loads = netem.UniformCohortLoad(len(cohort), full, full, computeSec)
 	}
-	partialBytes := sparse.PartialPayloadSize(e.wireParams())
+	partialBytes := codec.PartialSize(e.wireParams())
 	outcome := e.popModel.CohortRound(k, cohort, loads, partialBytes)
 
 	slotOf := make(map[int]int, len(cohort))

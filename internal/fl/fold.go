@@ -7,7 +7,7 @@ import (
 	"sync/atomic"
 
 	"fedsu/internal/par"
-	"fedsu/internal/sparse"
+	"fedsu/internal/sparse/codec"
 )
 
 // This file holds the streaming fold node: the component that accepts
@@ -251,7 +251,7 @@ func (f *foldNode) stageWeighted(rank int, values []float64, weight int) int {
 // presence forces a full ordered refold at completion. Strays are rare:
 // copy eagerly rather than wiring them into the detach path.
 func (f *foldNode) addStray(id int, values []float64, weight int) {
-	buf := sparse.GetVec(len(values))
+	buf := codec.GetVals(len(values))
 	copy(*buf, values)
 	f.mu.Lock()
 	if f.strays == nil {
@@ -417,9 +417,9 @@ func (f *foldNode) getBufLocked() *[]float64 {
 		if cap(*buf) >= f.sumLen {
 			return buf
 		}
-		sparse.PutVec(buf)
+		codec.PutVals(buf)
 	}
-	return sparse.GetVec(f.sumLen)
+	return codec.GetVals(f.sumLen)
 }
 
 // execPlanLocked runs the accumulated fold plan with one parallel pass
@@ -569,21 +569,21 @@ func (f *foldNode) complete(scaleMean bool) (res []float64, weight int, err erro
 // the fold before finalize). Caller holds mu.
 func (f *foldNode) releaseStagedLocked() {
 	for p := range f.staged {
-		sparse.PutVec(f.ownedPtr[p])
+		codec.PutVals(f.ownedPtr[p])
 		f.ownedPtr[p] = nil
 		f.staged[p] = nil
 	}
 	for id, s := range f.strays {
-		sparse.PutVec(s.buf)
+		codec.PutVals(s.buf)
 		delete(f.strays, id)
 	}
 	for i := range f.levels {
-		sparse.PutVec(f.levels[i].owned)
+		codec.PutVals(f.levels[i].owned)
 		f.levels[i] = levelSlot{alias: -1}
 	}
 	f.levels = f.levels[:0]
 	for _, p := range f.spare {
-		sparse.PutVec(p)
+		codec.PutVals(p)
 	}
 	f.spare = f.spare[:0]
 }
@@ -597,7 +597,7 @@ func (f *foldNode) releaseStagedLocked() {
 func (f *foldNode) detach(p int) {
 	f.mu.Lock()
 	if f.staged[p] != nil && f.ownedPtr[p] == nil {
-		buf := sparse.GetVec(len(f.staged[p]))
+		buf := codec.GetVals(len(f.staged[p]))
 		copy(*buf, f.staged[p])
 		f.staged[p] = *buf
 		f.ownedPtr[p] = buf

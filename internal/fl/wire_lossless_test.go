@@ -9,6 +9,7 @@ import (
 	"fedsu/internal/data"
 	"fedsu/internal/nn"
 	"fedsu/internal/sparse"
+	"fedsu/internal/sparse/codec"
 	"fedsu/internal/tensor"
 )
 
@@ -69,7 +70,7 @@ func TestFloat32WireLossless(t *testing.T) {
 							c.ID, i, math.Float64bits(v), math.Float64bits(q))
 					}
 				}
-				dec, err := sparse.DecodeVectorPayload(sparse.EncodeVectorPayload(vec))
+				dec, err := codec.DecodeInto(nil, codec.AppendBase(nil, vec), 0)
 				if err != nil {
 					t.Fatalf("client %d: decode: %v", c.ID, err)
 				}

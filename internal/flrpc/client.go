@@ -110,16 +110,11 @@ func Dial(addr, name string) (*Client, error) {
 // address or a full session should surface immediately.
 func DialWith(addr string, cfg DialConfig) (*Client, error) {
 	cfg.fillDefaults()
-	c := &Client{addr: addr, cfg: cfg, counters: trace.NewCounters()}
-	if cfg.Compress != "" {
-		chain, err := codec.Parse(cfg.Compress, cfg.CompressSeed)
-		if err != nil {
-			return nil, fmt.Errorf("flrpc: %w", err)
-		}
-		if !chain.IsDefault() {
-			c.chain = chain
-		}
+	chain, err := codec.ParseWire(cfg.Compress, cfg.CompressSeed)
+	if err != nil {
+		return nil, fmt.Errorf("flrpc: %w", err)
 	}
+	c := &Client{addr: addr, cfg: cfg, counters: trace.NewCounters(), chain: chain}
 	if _, err := c.ensureConn(); err != nil {
 		return nil, err
 	}
@@ -336,7 +331,7 @@ func (c *Client) AggregateErrorCtx(ctx context.Context, clientID, round int, val
 func (c *Client) call(ctx context.Context, kind string, clientID, round int, values []float64) ([]float64, error) {
 	args := AggArgs{ClientID: clientID, Round: round, Kind: kind, Abstain: values == nil}
 	if values != nil {
-		// Encode into a pooled buffer — sized exactly by VectorPayloadSize
+		// Encode into a pooled buffer — sized exactly by codec.BaseSize
 		// on the default wire, to the dense base image on a chain (the
 		// size class the pool can recycle it under).
 		// net/rpc writes the request synchronously inside Go — by the time
@@ -348,9 +343,9 @@ func (c *Client) call(ctx context.Context, kind string, clientID, round int, val
 			*chainBuf = c.chain.AppendEncode((*chainBuf)[:0], values)
 			args.Payload = *chainBuf
 		} else {
-			wireBuf := sparse.GetWireBuf(sparse.VectorPayloadSize(values))
-			defer sparse.PutWireBuf(wireBuf)
-			*wireBuf = sparse.AppendVectorPayload(*wireBuf, values)
+			wireBuf := codec.GetBuf(codec.BaseSize(values))
+			defer codec.PutBuf(wireBuf)
+			*wireBuf = codec.AppendBase(*wireBuf, values)
 			args.Payload = *wireBuf
 		}
 		c.counters.Add("agg_tx_bytes", int64(len(args.Payload)))
@@ -376,10 +371,10 @@ func (c *Client) call(ctx context.Context, kind string, clientID, round int, val
 // backoff + reconnect treatment as Aggregate. The coordinator treats a
 // resubmission after a reconnect idempotently, so a retried partial
 // whose first copy landed is safe.
-func (c *Client) SubmitPartial(ctx context.Context, round int, kind string, p sparse.Partial) ([]float64, error) {
-	wireBuf := sparse.GetWireBuf(sparse.PartialPayloadSize(len(p.Sum)))
-	defer sparse.PutWireBuf(wireBuf)
-	*wireBuf = sparse.AppendPartialPayload(*wireBuf, p)
+func (c *Client) SubmitPartial(ctx context.Context, round int, kind string, p codec.Partial) ([]float64, error) {
+	wireBuf := codec.GetBuf(codec.PartialSize(len(p.Sum)))
+	defer codec.PutBuf(wireBuf)
+	*wireBuf = codec.AppendPartial(*wireBuf, p)
 	args := PartialArgs{ClientID: c.ClientID(), Round: round, Kind: kind, Payload: *wireBuf}
 	c.counters.Add("agg_tx_bytes", int64(len(args.Payload)))
 	reply, err := c.doAgg(ctx, ServiceName+".SubmitPartial", fmt.Sprintf("partial %s round %d", kind, round), args)

@@ -7,7 +7,7 @@ import (
 	"testing"
 	"time"
 
-	"fedsu/internal/sparse"
+	"fedsu/internal/sparse/codec"
 )
 
 // TestClosedLoopAggregateReplies drives Coordinator.Aggregate in process
@@ -48,7 +48,7 @@ func TestClosedLoopAggregateReplies(t *testing.T) {
 								ClientID: id,
 								Round:    r,
 								Kind:     "model",
-								Payload:  sparse.EncodeVectorPayload([]float64{float64(2*r + id)}),
+								Payload:  codec.AppendBase(nil, []float64{float64(2*r + id)}),
 							}
 							var reply AggReply
 							if err := coord.Aggregate(args, &reply); err != nil {

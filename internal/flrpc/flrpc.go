@@ -4,7 +4,7 @@
 // it. It plays the role RPyC plays in the paper's Python implementation.
 //
 // The rpc envelope is gob, but the parameter vectors themselves travel as
-// sparse vector-codec payloads (sparse.AppendVectorPayload): a
+// base-codec payloads (codec.AppendBase): a
 // self-describing bitmap/index body over the nonzero entries with float32
 // values — the paper's 32-bit traffic model — instead of gob's ~9
 // bytes-per-float64 framing. Encode buffers are pooled on the client and
@@ -103,12 +103,12 @@ type AggArgs struct {
 	Round    int
 	// Kind selects the collective: "model" or "error".
 	Kind string
-	// Payload is the contribution encoded with the sparse vector codec
-	// (sparse.AppendVectorPayload). Abstain — not an empty Payload — is the
-	// wire truth for abstention: gob flattens a non-nil empty slice to nil
-	// in transit, and every real contribution (including the zero-length
-	// one) encodes to a non-empty payload, so the flag keeps the two
-	// unambiguous on arrival.
+	// Payload is the contribution encoded with the base codec
+	// (codec.AppendBase) or the configured chain. Abstain — not an empty
+	// Payload — is the wire truth for abstention: gob flattens a non-nil
+	// empty slice to nil in transit, and every real contribution
+	// (including the zero-length one) encodes to a non-empty payload, so
+	// the flag keeps the two unambiguous on arrival.
 	Payload []byte
 	Abstain bool
 }
@@ -117,13 +117,13 @@ type AggArgs struct {
 // ambiguity: Abstain returns nil (no contribution), everything else
 // decodes the payload — a zero-length contribution comes back empty but
 // non-nil, exactly as sent. dst and maxParams follow
-// sparse.DecodeVectorPayloadInto. Both the coordinator and the wire fuzz
+// codec.DecodeInto. Both the coordinator and the wire fuzz
 // target route through this single normalization point.
 func (a AggArgs) contribution(dst []float64, maxParams int) ([]float64, error) {
 	if a.Abstain {
 		return nil, nil
 	}
-	return sparse.DecodeVectorPayloadInto(dst, a.Payload, maxParams)
+	return codec.DecodeInto(dst, a.Payload, maxParams)
 }
 
 // AggReply returns the collective result.
@@ -142,7 +142,7 @@ func (r AggReply) contribution(maxParams int) ([]float64, error) {
 	if r.Nil {
 		return nil, nil
 	}
-	return sparse.DecodeVectorPayloadInto(nil, r.Payload, maxParams)
+	return codec.DecodeInto(nil, r.Payload, maxParams)
 }
 
 // PartialArgs is one tier partial-aggregate submission: a leaf relay's
@@ -154,7 +154,7 @@ type PartialArgs struct {
 	// Kind selects the collective: "model" or "error".
 	Kind string
 	// Payload is the partial encoded with the partial-aggregate codec
-	// (sparse.AppendPartialPayload): raw float64 sum + contributor weight
+	// (codec.AppendPartial): raw float64 sum + contributor weight
 	// + accounted traffic. Raw float64 because a partial is an
 	// intermediate of the canonical fold — quantizing it would break the
 	// tree-vs-flat bit-identity contract.
@@ -267,6 +267,10 @@ func NewCoordinatorWith(cfg Config) (*Coordinator, error) {
 	if cfg.HeartbeatGrace <= 0 {
 		cfg.HeartbeatGrace = cfg.Deadline
 	}
+	chain, err := codec.ParseWire(cfg.Compress, cfg.CompressSeed)
+	if err != nil {
+		return nil, fmt.Errorf("flrpc: %w", err)
+	}
 	c := &Coordinator{
 		cfg:        cfg,
 		numClients: cfg.NumClients,
@@ -276,15 +280,7 @@ func NewCoordinatorWith(cfg Config) (*Coordinator, error) {
 		lastSeen:   map[int]time.Time{},
 		counters:   trace.NewCounters(),
 		blockOf:    map[int]int{},
-	}
-	if cfg.Compress != "" {
-		chain, err := codec.Parse(cfg.Compress, cfg.CompressSeed)
-		if err != nil {
-			return nil, fmt.Errorf("flrpc: %w", err)
-		}
-		if !chain.IsDefault() {
-			c.chain = chain
-		}
+		chain:      chain,
 	}
 	if cfg.Async.Enabled() {
 		if cfg.Fanout >= 2 {
@@ -472,8 +468,8 @@ func (c *Coordinator) Aggregate(args AggArgs, reply *AggReply) error {
 	// the claimed vector length against hostile payloads.
 	var vecBuf *[]float64
 	if !args.Abstain {
-		vecBuf = sparse.GetVec(c.modelSize)
-		defer sparse.PutVec(vecBuf)
+		vecBuf = codec.GetVals(c.modelSize)
+		defer codec.PutVals(vecBuf)
 	}
 	var dst []float64
 	if vecBuf != nil {
@@ -550,7 +546,7 @@ func (c *Coordinator) encodeVector(res []float64) []byte {
 	if c.chain != nil {
 		return c.chain.Reply().AppendEncode(nil, res)
 	}
-	return sparse.EncodeVectorPayload(res)
+	return codec.AppendBase(nil, res)
 }
 
 // SubmitPartial implements the tier collective call: a leaf relay ships
@@ -579,9 +575,9 @@ func (c *Coordinator) SubmitPartial(args PartialArgs, reply *AggReply) error {
 	// Decode into a pooled vector; the tree stages the sum by reference
 	// and this handler blocks until the collective closes, so the buffer
 	// is recyclable on return (the Aggregate ownership contract).
-	vecBuf := sparse.GetVec(c.modelSize)
-	defer sparse.PutVec(vecBuf)
-	p, err := sparse.DecodePartialPayloadInto(*vecBuf, args.Payload, c.modelSize)
+	vecBuf := codec.GetVals(c.modelSize)
+	defer codec.PutVals(vecBuf)
+	p, err := codec.DecodePartialInto(*vecBuf, args.Payload, c.modelSize)
 	if err != nil {
 		return fmt.Errorf("flrpc: relay %d round %d: %w", args.ClientID, args.Round, err)
 	}

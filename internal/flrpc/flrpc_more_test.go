@@ -5,7 +5,7 @@ import (
 	"sync"
 	"testing"
 
-	"fedsu/internal/sparse"
+	"fedsu/internal/sparse/codec"
 )
 
 func TestCoordinatorValidation(t *testing.T) {
@@ -35,7 +35,7 @@ func TestAggregateUnknownKind(t *testing.T) {
 		t.Fatal(err)
 	}
 	var reply AggReply
-	err = c.Aggregate(AggArgs{ClientID: 0, Round: 0, Kind: "bogus", Payload: sparse.EncodeVectorPayload([]float64{1})}, &reply)
+	err = c.Aggregate(AggArgs{ClientID: 0, Round: 0, Kind: "bogus", Payload: codec.AppendBase(nil, []float64{1})}, &reply)
 	if err == nil || !strings.Contains(err.Error(), "unknown collective") {
 		t.Errorf("unknown kind error = %v", err)
 	}
@@ -58,7 +58,7 @@ func TestAggregateMalformedPayload(t *testing.T) {
 	}
 	// A payload longer than the session's model size is an allocation bomb
 	// and must be bounded by ModelSize.
-	over := sparse.EncodeVectorPayload(make([]float64, 5))
+	over := codec.AppendBase(nil, make([]float64, 5))
 	err = c.Aggregate(AggArgs{ClientID: 0, Round: 0, Kind: "model", Payload: over}, &reply)
 	if err == nil {
 		t.Fatal("payload above ModelSize must fail")
@@ -76,7 +76,7 @@ func TestWireBytesCounters(t *testing.T) {
 	go func() { defer wg.Done(); a.AggregateModel(a.ClientID(), 0, []float64{1, 0, 2, 0}) }()
 	go func() { defer wg.Done(); b.AggregateModel(b.ClientID(), 0, []float64{3, 0, 4, 0}) }()
 	wg.Wait()
-	want := int64(sparse.VectorPayloadSize([]float64{1, 0, 2, 0}))
+	want := int64(codec.BaseSize([]float64{1, 0, 2, 0}))
 	if got := a.Counters().Get("agg_tx_bytes"); got != want {
 		t.Errorf("client tx bytes = %d, want %d", got, want)
 	}

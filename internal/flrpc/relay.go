@@ -6,7 +6,7 @@ import (
 	"sync"
 	"time"
 
-	"fedsu/internal/sparse"
+	"fedsu/internal/sparse/codec"
 	"fedsu/internal/trace"
 )
 
@@ -101,7 +101,7 @@ func (r *Relay) forward(round int, kind string, rankLo int, sum []float64, weigh
 	delta := cur - r.lastTraffic
 	r.lastTraffic = cur
 	r.mu.Unlock()
-	p := sparse.Partial{RankLo: rankLo, Weight: weight, Traffic: delta, Sum: sum}
+	p := codec.Partial{RankLo: rankLo, Weight: weight, Traffic: delta, Sum: sum}
 	return r.up.SubmitPartial(context.Background(), round, kind, p)
 }
 

@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"fedsu/internal/sparse"
+	"fedsu/internal/sparse/codec"
 )
 
 // FuzzAggWire fuzzes the binary collective wire. The rpc envelope is gob
@@ -33,7 +34,7 @@ func FuzzAggWire(f *testing.F) {
 		}
 		args := AggArgs{ClientID: clientID, Round: round, Kind: kind, Abstain: values == nil}
 		if values != nil {
-			args.Payload = sparse.EncodeVectorPayload(values)
+			args.Payload = codec.AppendBase(nil, values)
 		}
 		var gotArgs AggArgs
 		gobRoundTrip(t, &args, &gotArgs)
@@ -45,7 +46,7 @@ func FuzzAggWire(f *testing.F) {
 
 		reply := AggReply{Nil: values == nil}
 		if values != nil {
-			reply.Payload = sparse.EncodeVectorPayload(values)
+			reply.Payload = codec.AppendBase(nil, values)
 		}
 		var gotReply AggReply
 		gobRoundTrip(t, &reply, &gotReply)

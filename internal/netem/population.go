@@ -165,7 +165,7 @@ type CohortOutcome struct {
 // CohortRound times one round over the sampled cohort. loads must align
 // with cohort (use UniformCohortLoad for the common identical-payload
 // case); partialBytes is the encoded size of one partial-sum message
-// (sum + weight + traffic, see sparse.PartialPayloadSize). The round
+// (sum + weight + traffic, see codec.PartialSize). The round
 // closes when the earliest ⌈participation·k⌉ members are in, then the
 // partial cascade climbs the tree.
 func (m *PopulationModel) CohortRound(round int, cohort []int, loads []ClientLoad, partialBytes int) CohortOutcome {

@@ -9,16 +9,52 @@ import (
 // Wire binds a strategy's traffic accounting to the compression chain the
 // transport actually ships. The zero value (nil Chain) is the legacy
 // default wire — the PR 4 bitmap/index codec — so existing constructions
-// keep their historical byte counts untouched.
+// keep their historical byte counts untouched. A chain from
+// codec.ParseWire is never the base-only chain: nil is the one
+// representation of the default wire.
 type Wire struct {
 	Chain *codec.Chain
 }
 
-// Enabled reports whether a non-default chain is attached: the cue for
-// strategies that otherwise use analytic size models (QSGD) to charge
-// measured chain bytes instead.
+// MessageBytes is the actual wire cost of one collective message carrying
+// vec: HeaderBytes of framing plus the base codec's exact encoded size.
+// A nil vec (abstention, or a collective that produced no result) costs the
+// header alone. This is the number the strategies charge their Traffic
+// accounting with — actual encoded bytes, not a per-parameter estimate.
+// Chain-aware strategies charge Wire.Bytes instead, which reduces to this
+// under the default wire.
+func MessageBytes(vec []float64) int {
+	if vec == nil {
+		return HeaderBytes
+	}
+	return HeaderBytes + codec.BaseSize(vec)
+}
+
+// DenseMessageBytes is MessageBytes for a fully-dense vector of n
+// parameters, computed without materializing it (codec.DenseBaseSize).
+// Used as the full-model reference cost (sparsification ratios, first-round
+// load estimates).
+func DenseMessageBytes(n int) int {
+	return HeaderBytes + codec.DenseBaseSize(n)
+}
+
+// QuantizeWire maps v to the value a receiver observes after one trip
+// through the base codec: zeros (including negative zero) collapse to +0,
+// everything else rounds through float32. Tests comparing values across
+// the default wire must compare against QuantizeWire(sent), not sent;
+// under a chain the image is Chain.RoundTrip instead.
+func QuantizeWire(v float64) float64 {
+	if v == 0 {
+		return 0
+	}
+	return float64(float32(v))
+}
+
+// Enabled reports whether a chain is attached: the cue for strategies
+// that otherwise use analytic size models (QSGD) to charge measured chain
+// bytes instead.
 func (w Wire) Enabled() bool {
-	return w.Chain != nil && !w.Chain.IsDefault()
+	return w.Chain != nil
 }
 
 // Bytes is the wire cost of one collective message carrying vec under
@@ -121,10 +157,11 @@ type ChainAggregator struct {
 var _ ContextAggregator = (*ChainAggregator)(nil)
 
 // WrapAggregator returns agg with chain's wire image applied to both
-// collective legs. A nil or default chain returns agg unchanged: the
-// legacy float32 wire rounding stays where it always was (the transport).
+// collective legs. A nil chain (the default wire) returns agg unchanged:
+// the legacy float32 wire rounding stays where it always was (the
+// transport).
 func WrapAggregator(agg Aggregator, chain *codec.Chain) Aggregator {
-	if agg == nil || chain == nil || chain.IsDefault() {
+	if agg == nil || chain == nil {
 		return agg
 	}
 	return &ChainAggregator{agg: agg, chain: chain}

@@ -36,12 +36,11 @@ func TestWireDefaultMatchesLegacy(t *testing.T) {
 	if w.Enabled() {
 		t.Error("zero-value Wire must not report Enabled")
 	}
-	def := Wire{Chain: codec.Default()}
-	if def.Enabled() {
-		t.Error("default chain must not report Enabled")
-	}
-	if got, want := def.Bytes(vec), MessageBytes(vec); got != want {
-		t.Errorf("default chain Bytes = %d, want %d", got, want)
+	// The base-only spec is the zero-value Wire, not a chain.
+	for _, spec := range []string{"", "topk", "sparse"} {
+		if ch, err := codec.ParseWire(spec, 1); err != nil || ch != nil {
+			t.Errorf("ParseWire(%q) = %v, %v; want the nil default wire", spec, ch, err)
+		}
 	}
 }
 
@@ -129,10 +128,7 @@ func TestChainAggregatorAppliesWireImage(t *testing.T) {
 	if _, err := agg.AggregateError(0, 0, vals); err != nil {
 		t.Fatal(err)
 	}
-	// Default and nil chains must not wrap at all.
-	if _, same := WrapAggregator(identityAgg{}, codec.Default()).(identityAgg); !same {
-		t.Error("default chain must not wrap the aggregator")
-	}
+	// The nil chain (the default wire) must not wrap at all.
 	if _, same := WrapAggregator(identityAgg{}, nil).(identityAgg); !same {
 		t.Error("nil chain must not wrap the aggregator")
 	}
@@ -200,7 +196,7 @@ func TestOneStageChainBytesMatchLegacyEncoder(t *testing.T) {
 		if v == nil {
 			continue // chains never see nil (abstentions carry no payload)
 		}
-		legacy := EncodeVectorPayload(v)
+		legacy := codec.AppendBase(nil, v)
 		chained := ch.AppendEncode(nil, v)
 		if len(legacy) != len(chained) {
 			t.Fatalf("len(%v): legacy %d, chain %d", v, len(legacy), len(chained))

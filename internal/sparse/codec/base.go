@@ -7,13 +7,12 @@ import (
 	"math/bits"
 )
 
-// The base stage is the PR 4 self-describing bitmap/index codec, ported
-// here verbatim so the one-stage chain is byte-identical to the
-// historical wire image (internal/sparse delegates its encoders to this
-// file, and a regression test pins the bytes against an independent
-// reference). The exact-size format selection — the documented ~3%
-// density crossover — lives here too: both body sizes are computed
-// exactly and the smaller one wins, with the bitmap taking ties.
+// The base stage is the original self-describing bitmap/index codec: the
+// default wire image every transport ships when no chain is configured,
+// and the head of most chains (a regression test pins the bytes against
+// an independent reference). The exact-size format selection — the
+// documented ~3% density crossover — lives here too: both body sizes are
+// computed exactly and the smaller one wins, with the bitmap taking ties.
 //
 // Wire semantics: zeros (including negative zero) are elided and decode
 // as +0; nonzero values round-trip through float32.
@@ -76,7 +75,7 @@ func DenseBaseSize(n int) int {
 }
 
 // bitmapBodyBytes is the bitmap body size: length header, one bit per
-// parameter, four bytes per selected value (sparse.BitmapPayloadBytes).
+// parameter, four bytes per selected value.
 func bitmapBodyBytes(totalParams, selected int) int {
 	return 8 + (totalParams+7)/8 + 4*selected
 }
@@ -209,6 +208,12 @@ func decodeBaseIndex(dst []float64, b []byte, maxParams int) ([]float64, error) 
 		// overflowing the position arithmetic.
 		if d > uint64(total) {
 			return nil, fmt.Errorf("codec: index delta overflow at entry %d", k)
+		}
+		// A zero delta after the first entry repeats a position: the later
+		// value would overwrite the earlier one and the count would
+		// overstate the nonzeros. The encoder never emits one.
+		if d == 0 && k > 0 {
+			return nil, fmt.Errorf("codec: duplicate index at entry %d", k)
 		}
 		idx := prev + int(d)
 		if idx >= total {

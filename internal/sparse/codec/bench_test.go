@@ -3,6 +3,7 @@ package codec
 import (
 	"fmt"
 	"math"
+	"math/rand"
 	"testing"
 )
 
@@ -81,5 +82,73 @@ func BenchmarkChainRoundTrip(b *testing.B) {
 				ch.RoundTrip(vec)
 			}
 		})
+	}
+}
+
+// BenchmarkVectorPayload tracks the pooled encode/decode round trip flrpc
+// runs per contribution: AppendBase into a pooled wire buffer, then
+// DecodeInto over a pooled vector. density=1 is a FedAvg dense round
+// (bitmap form); density=0.01 is a FedSU sparse round (index form).
+// SetBytes reports the encoded payload size, so MB/s compares the two
+// forms directly.
+func BenchmarkVectorPayload(b *testing.B) {
+	const n = 100_000
+	for _, density := range []float64{1, 0.01} {
+		b.Run(fmt.Sprintf("density=%g", density), func(b *testing.B) {
+			vec := make([]float64, n)
+			step := int(1 / density)
+			for i := 0; i < n; i += step {
+				vec[i] = 1 + float64(i)
+			}
+			buf := GetBuf(BaseSize(vec))
+			defer PutBuf(buf)
+			dst := GetVals(n)
+			defer PutVals(dst)
+			b.SetBytes(int64(BaseSize(vec)))
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				*buf = AppendBase((*buf)[:0], vec)
+				out, err := DecodeInto(*dst, *buf, n)
+				if err != nil {
+					b.Fatal(err)
+				}
+				*dst = out
+			}
+		})
+	}
+}
+
+// BenchmarkAblationEncoding forces each of the base stage's two forms,
+// bitmap and delta-varint index, across densities: the ablation behind
+// the ~3% crossover AppendBase's exact-size selection implements.
+func BenchmarkAblationEncoding(b *testing.B) {
+	const total = 200_000
+	for _, density := range []float64{0.001, 0.03, 0.3} {
+		rng := rand.New(rand.NewSource(3))
+		vec := make([]float64, total)
+		for i := range vec {
+			if rng.Float64() < density {
+				vec[i] = rng.NormFloat64()
+			}
+		}
+		nnz, varBytes := baseStats(vec)
+		forms := []struct {
+			name   string
+			size   int
+			encode func(out []byte, vec []float64, nnz int)
+		}{
+			{"bitmap", 1 + bitmapBodyBytes(total, nnz), encodeBaseBitmap},
+			{"index", 1 + 8 + 8 + varBytes + 4*nnz, encodeBaseIndex},
+		}
+		for _, f := range forms {
+			b.Run(fmt.Sprintf("%s/density=%v", f.name, density), func(b *testing.B) {
+				out := make([]byte, f.size)
+				for i := 0; i < b.N; i++ {
+					f.encode(out, vec, nnz)
+				}
+				b.ReportMetric(float64(f.size), "bytes")
+			})
+		}
 	}
 }

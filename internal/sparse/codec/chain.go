@@ -135,8 +135,27 @@ func Parse(spec string, seed int64) (*Chain, error) {
 	return ch, nil
 }
 
-// Default is the degenerate one-stage chain: the PR 4 bitmap/index
-// codec alone, byte-identical to the historical wire image.
+// ParseWire is Parse for the components that ship a wire (fl.Engine,
+// the flrpc coordinator and client, the sparse.Wire accounting): the
+// empty spec and the base-only spec ("topk"/"sparse") return a nil chain.
+// nil is the one representation of the default wire there — the legacy
+// base encoding, which the transport applies itself and whose in-process
+// image is the identity (sparse.QuantizeWire rounding happens on the TCP
+// leg only).
+func ParseWire(spec string, seed int64) (*Chain, error) {
+	if spec == "" {
+		return nil, nil
+	}
+	c, err := Parse(spec, seed)
+	if err != nil || c.isBase() {
+		return nil, err
+	}
+	return c, nil
+}
+
+// Default is the base-only chain as a value, for code that wants the
+// default wire's Spec, encoding or per-stage counters from a Chain.
+// Components that ship a wire represent it as a nil chain (ParseWire).
 func Default() *Chain {
 	base, _ := Parse("topk", 0)
 	return base
@@ -205,9 +224,9 @@ func (c *Chain) Stages() []string {
 	return out
 }
 
-// IsDefault reports whether the chain is the degenerate one-stage base
+// isBase reports whether the chain is the degenerate one-stage base
 // chain, whose wire image is the historical PR 4 encoding.
-func (c *Chain) IsDefault() bool {
+func (c *Chain) isBase() bool {
 	if len(c.stages) != 1 {
 		return false
 	}
@@ -283,7 +302,7 @@ func (c *Chain) appendEncode(dst []byte, values []float64, counted bool) []byte 
 // per-stage counters are not charged); the degenerate base chain
 // computes it analytically.
 func (c *Chain) PayloadSize(values []float64) int {
-	if c.IsDefault() {
+	if c.isBase() {
 		return BaseSize(values)
 	}
 	buf := getImageBuf(len(values))

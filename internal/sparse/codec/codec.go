@@ -3,8 +3,13 @@
 // low-rank factor, entropy-code) with a Chain combinator that stacks
 // stages into one self-describing encoding. The PR 4 bitmap/index codec
 // is the base stage, so the default wire image is the degenerate
-// one-stage chain — byte-identical to the historical encoder, pinned by
-// tests in this package and in internal/sparse.
+// one-stage chain — byte-identical to the historical encoder, pinned
+// against an independent reference encoder in this package's tests.
+//
+// It is the one package that knows a wire byte format or pools a wire
+// buffer: the chain stages, the tree partial-aggregate message
+// (partial.go) and the Get/Put buffer pools every transport draws from
+// (pool.go) all live here.
 //
 // Every stage writes a one-byte format tag first, so a receiver
 // negotiates per message: DecodeInto dispatches on the tag recursively
@@ -20,22 +25,21 @@ package codec
 import "fmt"
 
 // Format tags. One byte, first on the wire, one per stage family.
-// 0x03 is owned by internal/sparse's tree partial-aggregate codec
-// (raw float64 + counts); partials are deliberately NOT part of any
-// chain — see DESIGN.md §5l — so the tag is reserved here and rejected.
+// FormatPartial tags the tree partial-aggregate message (partial.go:
+// raw float64 sum + counts); partials are deliberately NOT part of any
+// chain — see DESIGN.md §5l — so DecodeInto rejects the tag.
 const (
 	FormatBitmap  = 0x01 // base stage, bitmap body (PR 4)
 	FormatIndex   = 0x02 // base stage, delta-varint index body (PR 4)
-	formatPartial = 0x03 // reserved: tree partial codec, never chained
+	FormatPartial = 0x03 // tree partial aggregate, never chained
 	FormatQuant   = 0x04 // k-bit stochastically quantized values
 	FormatLowRank = 0x05 // U·Vᵀ factor pair
 	FormatEntropy = 0x06 // range-coded wrapper around an inner payload
 )
 
 // DefaultMaxParams bounds the decoded vector length when the caller does
-// not supply its own limit (same rationale and value as the sparse
-// package's defaultMaxVectorParams: an index body is legitimately tiny
-// for any total, so the length header cannot be bounded by input size).
+// not supply its own limit: an index body is legitimately tiny for any
+// total, so the length header cannot be bounded by input size.
 const DefaultMaxParams = 1 << 24
 
 // maxDecodeDepth caps recursive tag dispatch: a hostile stream of nested
@@ -97,7 +101,7 @@ func decodeDepth(dst []float64, b []byte, maxParams, depth int) ([]float64, erro
 		return decodeLowRank(dst, b[1:], maxParams)
 	case FormatEntropy:
 		return decodeEntropy(dst, b[1:], maxParams, depth)
-	case formatPartial:
+	case FormatPartial:
 		return nil, fmt.Errorf("codec: tag 0x03 is the tree partial codec, not a chain payload")
 	default:
 		return nil, fmt.Errorf("codec: unknown vector payload format 0x%02x", b[0])

@@ -93,15 +93,15 @@ func TestBaseMatchesReference(t *testing.T) {
 		if BaseSize(vec) != len(want) {
 			t.Errorf("%s: BaseSize=%d, want %d", name, BaseSize(vec), len(want))
 		}
-		ch := Default()
-		if !ch.IsDefault() {
-			t.Fatalf("Default() chain is not default")
+		ch, err := Parse("topk", 0)
+		if err != nil {
+			t.Fatal(err)
 		}
 		if enc := ch.AppendEncode(nil, vec); !bytes.Equal(enc, want) {
-			t.Errorf("%s: default chain encoding differs from PR 4 reference", name)
+			t.Errorf("%s: base-only chain encoding differs from the reference encoder", name)
 		}
 		if ch.PayloadSize(vec) != len(want) {
-			t.Errorf("%s: default chain PayloadSize=%d, want %d", name, ch.PayloadSize(vec), len(want))
+			t.Errorf("%s: base-only chain PayloadSize=%d, want %d", name, ch.PayloadSize(vec), len(want))
 		}
 	}
 }
@@ -478,9 +478,13 @@ func TestDecodeBounds(t *testing.T) {
 		"quant-bomb":   append([]byte{FormatQuant, 4, 1}, append(huge, huge...)...),
 		"lowrank-bomb": append([]byte{FormatLowRank}, append(append(huge, huge...), huge...)...),
 		"entropy-bomb": append([]byte{FormatEntropy, entropyCoded}, binary.AppendUvarint(nil, 1<<40)...),
-		"partial-tag":  {formatPartial, 0, 0},
-		"unknown-tag":  {0x7F, 1, 2},
-		"empty":        {},
+		"partial-tag":  {FormatPartial, 0, 0},
+		// total 4, count 2, deltas 1,0, values 7,9: position 1 twice.
+		"index-duplicate": append(binary.LittleEndian.AppendUint64(binary.LittleEndian.AppendUint64(
+			[]byte{FormatIndex}, 4), 2), 1, 0, 0, 0, 0xe0, 0x40, 0, 0, 0x10, 0x41),
+		"quant-index-duplicate": quantIndexDuplicate(t),
+		"unknown-tag":           {0x7F, 1, 2},
+		"empty":                 {},
 	}
 	for name, b := range cases {
 		if _, err := DecodeInto(nil, b, 1<<20); err == nil {
@@ -497,14 +501,71 @@ func TestDecodeBounds(t *testing.T) {
 	}
 }
 
+// quantIndexDuplicate is a valid index-mode quant payload (nonzeros at
+// positions 1 and 2) with its second delta patched to 0, so both entries
+// claim position 1 while every length check still balances.
+func quantIndexDuplicate(t *testing.T) []byte {
+	t.Helper()
+	vec := make([]float64, 1000)
+	vec[1], vec[2] = 1, 2
+	q, err := NewQuant(4, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := q.Encode(nil, Vector{Values: vec})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const deltas = 1 + quantHeaderBytes // tag, then the fixed header
+	if b[2] != quantModeIndex || b[deltas] != 1 || b[deltas+1] != 1 {
+		t.Fatalf("unexpected quant layout % x", b[:deltas+2])
+	}
+	if _, err := DecodeInto(nil, b, 0); err != nil {
+		t.Fatalf("unpatched payload: %v", err)
+	}
+	b[deltas+1] = 0
+	return b
+}
+
+// TestQuantIndexOverlongVarint: binary.Uvarint accepts an overlong
+// encoding (0x81 0x00 for 1), so both passes over the index part must
+// advance by the bytes actually read, or the second pass desyncs from the
+// first and scatters values to the wrong positions.
+func TestQuantIndexOverlongVarint(t *testing.T) {
+	vec := make([]float64, 1000)
+	vec[1], vec[2] = 1, 2
+	q, err := NewQuant(4, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := q.Encode(nil, Vector{Values: vec})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := DecodeInto(nil, b, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const deltas = 1 + quantHeaderBytes
+	overlong := append(append(append([]byte(nil), b[:deltas]...), 0x81, 0x00), b[deltas+1:]...)
+	got, err := DecodeInto(nil, overlong, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range want {
+		if got[i] != want[i] {
+			t.Fatalf("[%d] = %v, want %v", i, got[i], want[i])
+		}
+	}
+}
+
 func TestDensePayloadSize(t *testing.T) {
 	n := 1000
 	dense := make([]float64, n)
 	for i := range dense {
 		dense[i] = float64(i) + 1
 	}
-	base := Default()
-	if got, want := base.DensePayloadSize(n), BaseSize(dense); got != want {
+	if got, want := DenseBaseSize(n), BaseSize(dense); got != want {
 		t.Errorf("base dense size %d, want %d", got, want)
 	}
 	q4, _ := Parse("topk,q4", 0)

@@ -201,3 +201,43 @@ func FuzzChainRoundTrip(f *testing.F) {
 		}
 	})
 }
+
+// FuzzVectorPayload: decoding arbitrary bytes through the tag dispatch
+// must never panic or over-allocate, and whatever decodes must re-encode
+// under the base stage losslessly.
+func FuzzVectorPayload(f *testing.F) {
+	f.Add([]byte{})
+	f.Add([]byte{FormatBitmap})
+	f.Add(AppendBase(nil, []float64{0, 1, 0, -2}))
+	f.Add(AppendBase(nil, make([]float64, 100)))
+	sparse := make([]float64, 2000)
+	sparse[1], sparse[1999] = 4, -4
+	f.Add(AppendBase(nil, sparse))
+	f.Fuzz(func(t *testing.T, raw []byte) {
+		// Decoding arbitrary bytes must never panic or over-allocate; the
+		// limit bounds hostile length headers.
+		vec, err := DecodeInto(nil, raw, 1<<16)
+		if err != nil {
+			return
+		}
+		// Whatever decoded must re-encode and decode back to the same bits
+		// (decoded values are already float32-exact, so this round-trip is
+		// lossless).
+		enc := AppendBase(nil, vec)
+		if got := BaseSize(vec); got != len(enc) {
+			t.Fatalf("BaseSize=%d, encoded %d bytes", got, len(enc))
+		}
+		back, err := DecodeInto(nil, enc, len(vec))
+		if err != nil {
+			t.Fatalf("re-decode of canonical encoding failed: %v", err)
+		}
+		if len(back) != len(vec) {
+			t.Fatalf("length changed across re-encode: %d vs %d", len(back), len(vec))
+		}
+		for i := range vec {
+			if math.Float64bits(back[i]) != math.Float64bits(quantizeWire(vec[i])) {
+				t.Fatalf("value %d changed across re-encode", i)
+			}
+		}
+	})
+}

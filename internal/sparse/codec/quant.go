@@ -377,6 +377,9 @@ func decodeQuant(dst []float64, b []byte, maxParams int) ([]float64, error) {
 			if d > uint64(n) {
 				return nil, fmt.Errorf("codec: quant index delta overflow at entry %d", k)
 			}
+			if d == 0 && k > 0 { // a repeated position, as in decodeBaseIndex
+				return nil, fmt.Errorf("codec: quant duplicate index at entry %d", k)
+			}
 			idx := prev + int(d)
 			if idx >= n {
 				return nil, fmt.Errorf("codec: quant index out of range at entry %d", k)
@@ -396,8 +399,8 @@ func decodeQuant(dst []float64, b []byte, maxParams int) ([]float64, error) {
 		syms := newSymReader(b[varEnd+rangePart:], qbits)
 		pos, prev = 0, 0
 		for k := 0; k < nnz; k++ {
-			d, _ := binary.Uvarint(b[pos:])
-			pos += uvarintLen(d)
+			d, w := binary.Uvarint(b[pos:]) // validated by the first pass
+			pos += w
 			idx := prev + int(d)
 			lo, step, ok := grid.at(idx)
 			if !ok {

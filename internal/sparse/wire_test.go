@@ -5,6 +5,8 @@ import (
 	"math"
 	"math/rand"
 	"testing"
+
+	"fedsu/internal/sparse/codec"
 )
 
 func quantizeAll(vec []float64) []float64 {
@@ -17,11 +19,11 @@ func quantizeAll(vec []float64) []float64 {
 
 func checkVectorRoundTrip(t *testing.T, name string, vec []float64) []byte {
 	t.Helper()
-	enc := EncodeVectorPayload(vec)
-	if got := VectorPayloadSize(vec); got != len(enc) {
-		t.Fatalf("%s: VectorPayloadSize=%d but encoded %d bytes", name, got, len(enc))
+	enc := codec.AppendBase(nil, vec)
+	if got := codec.BaseSize(vec); got != len(enc) {
+		t.Fatalf("%s: BaseSize=%d but encoded %d bytes", name, got, len(enc))
 	}
-	dec, err := DecodeVectorPayloadInto(nil, enc, len(vec))
+	dec, err := codec.DecodeInto(nil, enc, len(vec))
 	if err != nil {
 		t.Fatalf("%s: decode: %v", name, err)
 	}
@@ -63,23 +65,23 @@ func TestVectorPayloadRoundTrip(t *testing.T) {
 
 func TestVectorPayloadFormatSelection(t *testing.T) {
 	// Dense vectors should take the bitmap form; very sparse ones the index
-	// form — the ~3 % crossover documented in encoding.go.
+	// form — the ~3 % crossover documented in codec/base.go.
 	dense := make([]float64, 10000)
 	for i := range dense {
 		dense[i] = 1
 	}
-	if enc := EncodeVectorPayload(dense); enc[0] != vecFormatBitmap {
+	if enc := codec.AppendBase(nil, dense); enc[0] != codec.FormatBitmap {
 		t.Fatalf("dense vector encoded with format 0x%02x, want bitmap", enc[0])
 	}
 	sparse := make([]float64, 10000)
 	for i := 0; i < 100; i++ { // 1 % density
 		sparse[i*100] = 1
 	}
-	if enc := EncodeVectorPayload(sparse); enc[0] != vecFormatIndex {
+	if enc := codec.AppendBase(nil, sparse); enc[0] != codec.FormatIndex {
 		t.Fatalf("1%% vector encoded with format 0x%02x, want index", enc[0])
 	}
 	// The index form must beat gob's per-zero cost by a wide margin.
-	if size := VectorPayloadSize(sparse); size > 8+100*10 {
+	if size := codec.BaseSize(sparse); size > 8+100*10 {
 		t.Fatalf("1%% of 10k encoded to %d bytes, want well under 1008", size)
 	}
 }
@@ -87,28 +89,28 @@ func TestVectorPayloadFormatSelection(t *testing.T) {
 func TestVectorPayloadDecodeLimit(t *testing.T) {
 	vec := make([]float64, 128)
 	vec[0], vec[127] = 1, 2
-	enc := EncodeVectorPayload(vec)
-	if _, err := DecodeVectorPayloadInto(nil, enc, 127); err == nil {
+	enc := codec.AppendBase(nil, vec)
+	if _, err := codec.DecodeInto(nil, enc, 127); err == nil {
 		t.Fatal("decode accepted a vector longer than maxParams")
 	}
-	if _, err := DecodeVectorPayloadInto(nil, enc, 128); err != nil {
+	if _, err := codec.DecodeInto(nil, enc, 128); err != nil {
 		t.Fatalf("decode rejected a vector at exactly maxParams: %v", err)
 	}
 }
 
 func TestVectorPayloadDecodeInto(t *testing.T) {
 	vec := []float64{0, 1.5, 0, -2, 0}
-	enc := EncodeVectorPayload(vec)
+	enc := codec.AppendBase(nil, vec)
 	scratch := make([]float64, 8)
 	for i := range scratch {
 		scratch[i] = 99 // stale contents must be fully overwritten
 	}
-	dec, err := DecodeVectorPayloadInto(scratch, enc, 0)
+	dec, err := codec.DecodeInto(scratch, enc, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if &dec[0] != &scratch[0] {
-		t.Fatal("DecodeVectorPayloadInto did not reuse the provided storage")
+		t.Fatal("DecodeInto did not reuse the provided storage")
 	}
 	want := []float64{0, 1.5, 0, -2, 0}
 	for i := range want {
@@ -119,105 +121,70 @@ func TestVectorPayloadDecodeInto(t *testing.T) {
 }
 
 func TestAppendPayloadsMatchEncode(t *testing.T) {
-	mask := []bool{true, false, false, true, true, false, true, false, true}
-	values := []float64{1, -2, 3.5, math.Pi, -0.125}
-	if !bytes.Equal(EncodeBitmapPayload(mask, values), AppendBitmapPayload(nil, mask, values)) {
-		t.Fatal("AppendBitmapPayload diverges from EncodeBitmapPayload")
-	}
-	indices := []int{0, 3, 4, 6, 300}
-	if !bytes.Equal(EncodeIndexPayload(indices, values), AppendIndexPayload(nil, indices, values)) {
-		t.Fatal("AppendIndexPayload diverges from EncodeIndexPayload")
-	}
-	// Appending after a prefix leaves the prefix intact and the payload
-	// decodable.
-	pre := []byte{0xde, 0xad}
-	out := AppendIndexPayload(append([]byte(nil), pre...), indices, values)
-	if !bytes.Equal(out[:2], pre) {
-		t.Fatal("AppendIndexPayload clobbered the prefix")
-	}
-	gotIdx, gotVals, err := DecodeIndexPayload(out[2:])
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(gotIdx) != len(indices) || gotIdx[4] != 300 || float32(gotVals[3]) != float32(math.Pi) {
-		t.Fatalf("appended payload decoded wrong: %v %v", gotIdx, gotVals)
+	for _, vec := range [][]float64{
+		{1, 0, 0, -2, 3.5, 0, math.Pi, 0, -0.125}, // bitmap form
+		append(make([]float64, 300), 1, 2),        // index form
+	} {
+		fresh := codec.AppendBase(nil, vec)
+		// Appending after a prefix leaves the prefix intact and appends
+		// exactly the fresh encoding, which decodes on its own.
+		pre := []byte{0xde, 0xad}
+		out := codec.AppendBase(append([]byte(nil), pre...), vec)
+		if !bytes.Equal(out[:2], pre) {
+			t.Fatal("AppendBase clobbered the prefix")
+		}
+		if !bytes.Equal(out[2:], fresh) {
+			t.Fatalf("format 0x%02x: AppendBase after a prefix diverges from a fresh encoding", fresh[0])
+		}
+		got, err := codec.DecodeInto(nil, out[2:], 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := range vec {
+			if got[i] != QuantizeWire(vec[i]) {
+				t.Fatalf("format 0x%02x: value %d decoded %v, want %v", fresh[0], i, got[i], QuantizeWire(vec[i]))
+			}
+		}
 	}
 }
 
 func TestWireBufPool(t *testing.T) {
-	p := GetWireBuf(100)
+	p := codec.GetBuf(100)
 	if len(*p) != 0 || cap(*p) < 100 {
-		t.Fatalf("GetWireBuf(100): len=%d cap=%d", len(*p), cap(*p))
+		t.Fatalf("GetBuf(100): len=%d cap=%d", len(*p), cap(*p))
 	}
-	*p = AppendIndexPayload(*p, []int{1, 2}, []float64{1, 2})
-	PutWireBuf(p)
-	PutWireBuf(nil) // no-op
+	*p = codec.AppendBase(*p, []float64{0, 1, 2})
+	codec.PutBuf(p)
+	codec.PutBuf(nil) // no-op
 
-	q := GetVec(64)
+	q := codec.GetVals(64)
 	if len(*q) != 64 {
-		t.Fatalf("GetVec(64): len=%d", len(*q))
+		t.Fatalf("GetVals(64): len=%d", len(*q))
 	}
-	PutVec(q)
-	PutVec(nil)
+	codec.PutVals(q)
+	codec.PutVals(nil)
 
 	// Steady state: a Get/encode/Put cycle should not allocate.
 	vec := make([]float64, 4096)
 	for i := range vec {
 		vec[i] = float64(i)
 	}
-	need := VectorPayloadSize(vec)
+	need := codec.BaseSize(vec)
 	allocs := testing.AllocsPerRun(100, func() {
-		buf := GetWireBuf(need)
-		*buf = AppendVectorPayload(*buf, vec)
-		out := GetVec(len(vec))
+		buf := codec.GetBuf(need)
+		*buf = codec.AppendBase(*buf, vec)
+		out := codec.GetVals(len(vec))
 		var err error
-		*out, err = DecodeVectorPayloadInto(*out, *buf, len(vec))
+		*out, err = codec.DecodeInto(*out, *buf, len(vec))
 		if err != nil {
 			t.Fatal(err)
 		}
-		PutVec(out)
-		PutWireBuf(buf)
+		codec.PutVals(out)
+		codec.PutBuf(buf)
 	})
 	// Under the race detector sync.Pool drops a fraction of Puts on purpose,
 	// so the zero-allocation property only holds in a normal build.
 	if !raceEnabled && allocs > 0 {
 		t.Fatalf("pooled encode/decode cycle allocates %.1f times per run", allocs)
 	}
-}
-
-func FuzzVectorPayload(f *testing.F) {
-	f.Add([]byte{})
-	f.Add([]byte{vecFormatBitmap})
-	f.Add(EncodeVectorPayload([]float64{0, 1, 0, -2}))
-	f.Add(EncodeVectorPayload(make([]float64, 100)))
-	sparse := make([]float64, 2000)
-	sparse[1], sparse[1999] = 4, -4
-	f.Add(EncodeVectorPayload(sparse))
-	f.Fuzz(func(t *testing.T, raw []byte) {
-		// Decoding arbitrary bytes must never panic or over-allocate; the
-		// limit bounds hostile length headers.
-		vec, err := DecodeVectorPayloadInto(nil, raw, 1<<16)
-		if err != nil {
-			return
-		}
-		// Whatever decoded must re-encode and decode back to the same bits
-		// (decoded values are already float32-exact, so this round-trip is
-		// lossless).
-		enc := EncodeVectorPayload(vec)
-		if got := VectorPayloadSize(vec); got != len(enc) {
-			t.Fatalf("VectorPayloadSize=%d, encoded %d bytes", got, len(enc))
-		}
-		back, err := DecodeVectorPayloadInto(nil, enc, len(vec))
-		if err != nil {
-			t.Fatalf("re-decode of canonical encoding failed: %v", err)
-		}
-		if len(back) != len(vec) {
-			t.Fatalf("length changed across re-encode: %d vs %d", len(back), len(vec))
-		}
-		for i := range vec {
-			if math.Float64bits(back[i]) != math.Float64bits(QuantizeWire(vec[i])) {
-				t.Fatalf("value %d changed across re-encode", i)
-			}
-		}
-	})
 }
